@@ -24,7 +24,6 @@
 //	bisim_classes                   bisimulation equivalence classes
 //	sim_init / sim_step [n] / sim_step_with <expr> / sim_states [max] / sim_back
 //	trace on [file.jsonl] / trace off
-//	workers [n]                     show or set the BDD worker count
 //	quit
 //
 // Flags: -image auto|monolithic|partitioned|clustered|iso selects the
@@ -38,11 +37,7 @@
 // aborts, symmetric-pair gluing), -reorder-max-growth and
 // -reorder-trigger tune the sift growth bound and the auto trigger
 // factor; -order <file> seeds the variable order
-// from a saved .order file (written by write_order); -workers <n>
-// selects the BDD kernel's worker count (default GOMAXPROCS; 1 = the
-// sequential kernel) — with two or more workers large conjunctions fork
-// onto a work-stealing pool and check_all verifies independent
-// properties concurrently; -stats prints BDD statistics after checking
+// from a saved .order file (written by write_order); -stats prints BDD statistics after checking
 // commands; -trace <file.jsonl> arms the telemetry layer for the whole
 // session and writes one JSON event per line (fixpoint iterations, GCs,
 // reorders, cache growth, node samples), printing the telemetry summary
@@ -55,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -82,22 +76,6 @@ type shell struct {
 	opts  core.Options
 }
 
-// parseWorkers resolves the -workers flag: "auto" (or "0") picks a
-// GOMAXPROCS-wide kernel, an explicit count is used as given.
-func parseWorkers(v string) (int, error) {
-	if v == "auto" || v == "" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -workers %q (want auto or a non-negative count)", v)
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n, nil
-}
-
 func main() {
 	statsFlag := flag.Bool("stats", false,
 		"print BDD operation statistics after every checking command")
@@ -113,18 +91,11 @@ func main() {
 		"image-computation engine: auto, monolithic, partitioned, clustered or iso")
 	orderFlag := flag.String("order", "",
 		"seed the variable order from a saved .order file (see write_order)")
-	workersFlag := flag.String("workers", "auto",
-		"BDD kernel workers: auto = GOMAXPROCS, 1 = sequential, n >= 2 = parallel kernel")
 	traceFlag := flag.String("trace", "",
 		"write a JSONL telemetry trace of the whole session to this file")
 	profileFlag := flag.String("profile", "",
 		"write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
-	workers, err := parseWorkers(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hsis:", err)
-		os.Exit(2)
-	}
 	sh := &shell{
 		out:   bufio.NewWriter(os.Stdout),
 		stats: *statsFlag,
@@ -132,7 +103,7 @@ func main() {
 			ReorderAccel:     *reorderAccelFlag,
 			ReorderMaxGrowth: *reorderMaxGrowthFlag,
 			ReorderTrigger:   *reorderTriggerFlag,
-			Image:            *imageFlag, Workers: workers},
+			Image:            *imageFlag},
 	}
 	defer sh.out.Flush()
 	if *statsFlag {
@@ -204,32 +175,7 @@ func (sh *shell) exec(line string) error {
 	cmd, args := fields[0], fields[1:]
 	switch cmd {
 	case "help":
-		fmt.Fprintln(sh.out, "commands: read_verilog read_blif_mv read_pif read_builtin print_stats compute_reach check_ctl lang_contain check_all explain_ctl check_refine quant_schedule reorder write_order write_blif_mv write_dot bisim_classes sim_init sim_step sim_step_with sim_states sim_back trace workers quit")
-		return nil
-	case "workers":
-		// workers [n] mirrors trace/reorder: with no argument it reports
-		// the current mode, with one it reconfigures the kernel for the
-		// loaded design and every design loaded afterwards (0 or "auto"
-		// means GOMAXPROCS).
-		if len(args) == 0 {
-			fmt.Fprintf(sh.out, "workers: %d\n", sh.opts.Workers)
-			return nil
-		}
-		n := 0
-		if args[0] != "auto" {
-			var err error
-			if n, err = strconv.Atoi(args[0]); err != nil || n < 0 {
-				return fmt.Errorf("usage: workers [n | auto] (n >= 1; 0/auto = GOMAXPROCS)")
-			}
-		}
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		sh.opts.Workers = n
-		if sh.w != nil {
-			sh.w.Net.Manager().SetWorkers(n)
-		}
-		fmt.Fprintf(sh.out, "workers: %d\n", n)
+		fmt.Fprintln(sh.out, "commands: read_verilog read_blif_mv read_pif read_builtin print_stats compute_reach check_ctl lang_contain check_all explain_ctl check_refine quant_schedule reorder write_order write_blif_mv write_dot bisim_classes sim_init sim_step sim_step_with sim_states sim_back trace quit")
 		return nil
 	case "trace":
 		// trace on [file.jsonl] arms the telemetry layer mid-session;

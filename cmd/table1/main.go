@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -98,8 +96,6 @@ func main() {
 		"auto-sift when live nodes exceed this factor of the size at the last arming (0 = default 2)")
 	imageFlag := flag.String("image", "auto",
 		"image-computation engine: auto, monolithic, partitioned, clustered or iso")
-	workersFlag := flag.String("workers", "auto",
-		"BDD kernel workers: auto = GOMAXPROCS, 1 = sequential, n >= 2 = parallel kernel")
 	traceFlag := flag.String("trace", "", "write a JSONL telemetry trace of the run to this file")
 	profileFlag := flag.String("profile", "", "write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
@@ -145,20 +141,6 @@ func main() {
 		ReorderMaxGrowth:         *reorderMaxGrowth,
 		ReorderTrigger:           *reorderTrigger,
 		Image:                    *imageFlag,
-	}
-	// "auto" (or "0") picks a GOMAXPROCS-wide kernel, matching cmd/hsis.
-	if *workersFlag == "auto" || *workersFlag == "" {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	} else {
-		n, err := strconv.Atoi(*workersFlag)
-		if err != nil || n < 0 {
-			fmt.Fprintf(os.Stderr, "table1: invalid -workers %q (want auto or a non-negative count)\n", *workersFlag)
-			os.Exit(2)
-		}
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		opts.Workers = n
 	}
 	switch *heuristic {
 	case "minwidth":

@@ -15,7 +15,10 @@ package bdd
 // ITE complement normalization, derived ForAll, and cache survival
 // across GC and reordering.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 const fuzzVars = 10
 
@@ -82,8 +85,10 @@ type fuzzEntry struct {
 
 // runFuzzProgram interprets prog, returning the final stack. The Ref
 // and truth-table sides only share the program bytes, never
-// intermediate results.
-func runFuzzProgram(m *Manager, prog []byte) []fuzzEntry {
+// intermediate results. The kernel invariants are checked after every
+// GC and every reorder session; the first violation ends the run with
+// an error.
+func runFuzzProgram(m *Manager, prog []byte) ([]fuzzEntry, error) {
 	var trueTT table
 	for i := range trueTT {
 		trueTT[i] = ^uint64(0)
@@ -156,6 +161,9 @@ func runFuzzProgram(m *Manager, prog []byte) []fuzzEntry {
 			for _, e := range stack {
 				m.DecRef(e.f)
 			}
+			if err := m.CheckInvariants(); err != nil {
+				return nil, fmt.Errorf("pc %d: after GC: %v", pc, err)
+			}
 		case op == 12: // reorder: adjacent swaps with the stack as roots
 			for _, e := range stack {
 				m.IncRef(e.f)
@@ -178,6 +186,9 @@ func runFuzzProgram(m *Manager, prog []byte) []fuzzEntry {
 			for _, e := range stack {
 				m.DecRef(e.f)
 			}
+			if err := m.CheckInvariants(); err != nil {
+				return nil, fmt.Errorf("pc %d: after reorder: %v", pc, err)
+			}
 			pc++
 		case op == 13: // register the adjacent pair at a level as a group
 			l := arg % (fuzzVars - 1)
@@ -185,7 +196,7 @@ func runFuzzProgram(m *Manager, prog []byte) []fuzzEntry {
 			pc++
 		}
 	}
-	return stack
+	return stack, nil
 }
 
 func checkFuzzStack(t *testing.T, m *Manager, stack []fuzzEntry) {
@@ -224,7 +235,10 @@ func FuzzComplementKernel(f *testing.F) {
 		}
 		m := New()
 		m.NewVars(fuzzVars)
-		stack := runFuzzProgram(m, prog)
+		stack, err := runFuzzProgram(m, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
 		checkFuzzStack(t, m, stack)
 		checkKernelInvariants(t, m)
 		// The stack survived arbitrary GCs and reorders; a final
@@ -234,6 +248,7 @@ func FuzzComplementKernel(f *testing.F) {
 			m.IncRef(e.f)
 		}
 		m.GC()
+		checkKernelInvariants(t, m)
 		checkFuzzStack(t, m, stack)
 	})
 }
@@ -257,7 +272,11 @@ func TestFuzzCorpus(t *testing.T) {
 	for _, prog := range progs {
 		m := New()
 		m.NewVars(fuzzVars)
-		checkFuzzStack(t, m, runFuzzProgram(m, prog))
+		stack, err := runFuzzProgram(m, prog)
+		if err != nil {
+			t.Fatalf("program %v: %v", prog, err)
+		}
+		checkFuzzStack(t, m, stack)
 		checkKernelInvariants(t, m)
 	}
 }

@@ -173,9 +173,6 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers > 1 {
-		net.Manager().SetWorkers(opts.Workers)
-	}
 	w := &Workspace{
 		Name:         d.Name,
 		Net:          net,

@@ -78,11 +78,7 @@ type Options struct {
 	// clustered on designs with no replication). Any engine other than
 	// auto/monolithic also skips the eager product-relation build.
 	Image string
-	// Workers selects the BDD kernel's execution mode for every manager
-	// the workspace builds (including cone-of-influence reductions):
-	// 0 or 1 is the classic sequential kernel, n >= 2 enables the
-	// concurrent kernel with an n-worker fork/join pool and makes
-	// VerifyAll check independent properties in parallel.
+	// Workers is accepted and ignored: the kernel is sequential. Kept for perfbench.
 	Workers int
 	// Telemetry, when non-nil, is installed as the observability scope
 	// of every manager the workspace builds (including cone-of-influence
@@ -110,15 +106,10 @@ type Workspace struct {
 	// (cone-of-influence) networks can recompile them.
 	fairSpecs []pif.FairSpec
 	// coneCache reuses reduced workspaces across properties with the
-	// same observation support; coneMu guards it when VerifyAll runs
-	// property checks concurrently.
+	// same observation support; coneMu guards it against Interrupt,
+	// which may run on another goroutine.
 	coneCache map[string]*Workspace
 	coneMu    sync.Mutex
-	// compileMu serializes automaton/product compilation during parallel
-	// verification: building a product extends the shared MDD space (and
-	// the lc package's product name counter), which must happen one at a
-	// time even though the emptiness checks themselves run concurrently.
-	compileMu sync.Mutex
 
 	// Source metrics for Table 1.
 	VerilogLines int
@@ -239,9 +230,7 @@ func (w *Workspace) fairSupport() []string {
 }
 
 // coneWorkspace builds (or reuses) a reduced workspace observing the
-// given variables plus the fairness constraints' support. The cache
-// lookup and build run under coneMu so concurrent property checks
-// share (rather than duplicate or corrupt) the reductions.
+// given variables plus the fairness constraints' support.
 func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Result, error) {
 	obs := append(append([]string(nil), observed...), w.fairSupport()...)
 	res, err := abstract.ConeOfInfluence(w.Net.Model(), obs)
@@ -265,9 +254,6 @@ func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Resu
 	net, err := network.Build(res.Model, nopts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if w.opts.Workers > 1 {
-		net.Manager().SetWorkers(w.opts.Workers)
 	}
 	fc, err := lc.CompileFairness(net, w.fairSpecs)
 	if err != nil {
@@ -460,21 +446,14 @@ func (w *Workspace) CheckLC(spec *pif.AutSpec) *PropertyResult {
 		}
 	}
 	out := &PropertyResult{Name: spec.Name, Kind: KindLC}
-	// Compilation extends the shared MDD space with the automaton's state
-	// variables; under parallel verification only one product may do that
-	// at a time. The expensive part — the emptiness check below — runs
-	// outside the lock.
-	w.compileMu.Lock()
 	w.Net.EnsureT()
 	a, err := lc.Compile(w.Net, spec)
 	if err != nil {
-		w.compileMu.Unlock()
 		out.Err = err
 		out.Time = time.Since(start)
 		return out
 	}
 	p := lc.NewProduct(w.Net, a)
-	w.compileMu.Unlock()
 	res := lc.Check(p, w.FC, lc.Options{EarlySteps: w.opts.EarlySteps})
 	out.Pass = res.Pass
 	out.EarlyDetected = res.EarlyDetected
@@ -491,36 +470,11 @@ func (w *Workspace) CheckLC(spec *pif.AutSpec) *PropertyResult {
 }
 
 // VerifyAll checks every property in the workspace: automata by
-// language containment, formulas by CTL model checking. When the
-// workspace's manager runs in parallel mode (Options.Workers >= 2) the
-// independent property checks execute concurrently on the kernel's
-// worker pool; BDD canonicity keeps every verdict identical to the
-// sequential order, and results are reported in declaration order
-// either way.
+// language containment, formulas by CTL model checking, in declaration
+// order.
 func (w *Workspace) VerifyAll() []*PropertyResult {
 	nLC := len(w.Automata)
 	out := make([]*PropertyResult, nLC+len(w.CTLProps))
-	m := w.Net.Manager()
-	if m.Workers() > 1 && len(out) > 1 {
-		// Build T up front: every LC product conjoins it, and doing it
-		// once here keeps the parallel section free of the big
-		// single-threaded build (EnsureT itself is mutex-guarded, so
-		// this is purely a scheduling choice).
-		if nLC > 0 {
-			w.Net.EnsureT()
-		}
-		tasks := make([]func(), 0, len(out))
-		for i, a := range w.Automata {
-			i, a := i, a
-			tasks = append(tasks, func() { out[i] = w.CheckLC(a) })
-		}
-		for i, p := range w.CTLProps {
-			i, p := i, p
-			tasks = append(tasks, func() { out[nLC+i] = w.CheckCTL(p) })
-		}
-		m.ParallelDo(tasks...)
-		return out
-	}
 	for i, a := range w.Automata {
 		out[i] = w.CheckLC(a)
 	}

@@ -13,7 +13,7 @@ import (
 // artifactKey derives the content address of a design artifact: a
 // SHA-256 over everything that determines the frontend's output — the
 // source kind, the source text, the top module, and the property text.
-// Backend options (workers, engine, reordering) deliberately do NOT
+// Backend options (engine, reordering, cone of influence) deliberately do NOT
 // enter the key: they shape the per-job workspace, not the shared
 // artifact. Length-prefixed fields keep the encoding injective.
 func artifactKey(kind, src, top, pif string) string {

@@ -35,11 +35,9 @@ import (
 )
 
 // JobOptions tunes one verification job. The zero value is a sane
-// default: sequential kernel, auto image engine, no reordering, the
-// server's default deadline.
+// default: auto image engine, no reordering, the server's default
+// deadline.
 type JobOptions struct {
-	// Workers is the per-job BDD kernel worker count (0/1 sequential).
-	Workers int `json:"workers,omitempty"`
 	// Image selects the image-computation engine ("", "auto",
 	// "monolithic", "partitioned", "clustered", "iso").
 	Image string `json:"image,omitempty"`
@@ -153,8 +151,10 @@ type Job struct {
 	// ties — the timer only fires after a real deadline).
 	cancelRequested atomic.Bool
 	deadlineHit     atomic.Bool
-	// ws is the job's workspace once instantiated; Cancel and the
-	// deadline timer interrupt through it.
+	// ws is the job's workspace while its verification runs; Cancel and
+	// the deadline timer interrupt through it. It is cleared when the
+	// verification returns, so a finished job does not keep its BDD
+	// manager reachable.
 	ws atomic.Pointer[core.Workspace]
 
 	tracePath string // JSONL spool file, when Options.Trace is set
@@ -251,9 +251,6 @@ func (r *Request) validate() error {
 	}
 	if r.Verilog != "" && r.Top == "" {
 		return errors.New("verilog source requires top")
-	}
-	if r.Options.Workers < 0 {
-		return fmt.Errorf("negative workers %d", r.Options.Workers)
 	}
 	if r.Options.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", r.Options.TimeoutMS)

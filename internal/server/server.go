@@ -75,8 +75,7 @@ type Server struct {
 	jobExec      *telemetry.HistogramVec // by tenant: execution start → terminal
 	fixpointIter *telemetry.HistogramVec // by engine: one fixpoint frontier extension
 	imageTime    *telemetry.HistogramVec // by engine: one full image computation
-	gcPause      *telemetry.HistogramVec // by engine: one GC's exclusive window
-	gcMark       *telemetry.HistogramVec // by engine: one GC's concurrent mark
+	gcPause      *telemetry.HistogramVec // by engine: one garbage collection
 	reorderTime  *telemetry.HistogramVec // by engine: one reordering session
 	cacheLookup  *telemetry.HistogramVec // by result (hit/miss): artifact lookup
 }
@@ -84,8 +83,8 @@ type Server struct {
 // New builds a server and starts its worker pool. Close shuts it down.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
-		// Auto-size from the host: one job worker per two CPUs keeps
-		// headroom for each job's own BDD kernel workers, floored at 2
+		// Auto-size from the host: one job worker per two CPUs leaves
+		// room for the Go collector and the HTTP handlers, floored at 2
 		// so a small host still overlaps compile and execution, capped
 		// at 8 because beyond that the kernels fight over memory
 		// bandwidth long before the pool runs dry.
@@ -374,7 +373,6 @@ func (s *Server) foldJobMetrics(engine string, ms *telemetry.MetricSet) {
 	s.fixpointIter.With(engine).Merge(ms.FixpointIter.Snapshot())
 	s.imageTime.With(engine).Merge(ms.Image.Snapshot())
 	s.gcPause.With(engine).Merge(ms.GCPause.Snapshot())
-	s.gcMark.With(engine).Merge(ms.GCMark.Snapshot())
 	s.reorderTime.With(engine).Merge(ms.Reorder.Snapshot())
 }
 
@@ -472,7 +470,6 @@ func (s *Server) runVerification(j *Job) (res *Result, err error) {
 	}
 
 	ws, err := d.Instantiate(core.Options{
-		Workers:         j.req.Options.Workers,
 		Image:           j.req.Options.Image,
 		Reorder:         j.req.Options.Reorder,
 		ConeOfInfluence: j.req.Options.ConeOfInfluence,
@@ -482,6 +479,7 @@ func (s *Server) runVerification(j *Job) (res *Result, err error) {
 		return nil, err
 	}
 	j.ws.Store(ws)
+	defer j.ws.Store(nil)
 	// Re-check: a cancel/deadline that landed before the workspace
 	// existed could only set the flags; arm the manager now.
 	if j.cancelRequested.Load() || j.deadlineHit.Load() {
@@ -524,12 +522,6 @@ func (s *Server) accumulateKernel(ws *core.Workspace) {
 	k.QuantHits += st.QuantHits + st.AndExistsHits
 	k.GCs += int64(st.GCs)
 	k.Reorders += int64(st.Reorders)
-	k.L1Hits += st.L1Hits
-	k.L1Merges += st.L1Merges
-	k.L1Promotions += st.L1Promotions
-	k.GrainAdjusts += st.GrainAdjusts
-	k.SiftZones += st.SiftZones
-	k.SiftParBlocks += st.SiftParBlocks
 	if int64(st.PeakLive) > k.MaxPeakLive {
 		k.MaxPeakLive = int64(st.PeakLive)
 	}

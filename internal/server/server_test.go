@@ -500,6 +500,57 @@ func TestConcurrentSharedArtifact(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsReleaseWorkspace checks that a job drops its
+// workspace, and with it its BDD manager, as soon as its verification
+// returns — after a clean run and after a deadline interrupt alike —
+// and that Cancel on a finished job stays a harmless no-op.
+func TestFinishedJobsReleaseWorkspace(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, QueueCapacity: 32})
+	reqs := []Request{
+		{Builtin: "pingpong", Options: JobOptions{Reach: true}},
+		{Builtin: "gigamax", Options: JobOptions{Reach: true}},
+		{Builtin: "philos"},
+		{Builtin: "dcnew"},
+		{Builtin: "mdlc2", PIF: "-", Options: JobOptions{Image: "clustered", Reach: true, TimeoutMS: 100}},
+	}
+	var jobs []*Job
+	for _, req := range reqs {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for i, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatalf("job %d (%s) did not finish", i, reqs[i].Builtin)
+		}
+		want := StatusDone
+		if reqs[i].Options.TimeoutMS > 0 {
+			want = StatusTimeout
+		}
+		st := j.Status()
+		if st != want {
+			t.Fatalf("job %d (%s): status %s, want %s", i, reqs[i].Builtin, st, want)
+		}
+		if j.ws.Load() != nil {
+			t.Errorf("job %d (%s): %s job still holds its workspace", i, reqs[i].Builtin, st)
+		}
+		res, msg := j.Result()
+		if !s.Cancel(j.ID) {
+			t.Errorf("job %d: Cancel does not know a finished job", i)
+		}
+		if got := j.Status(); got != st {
+			t.Errorf("job %d: Cancel moved a finished job from %s to %s", i, st, got)
+		}
+		if gotRes, gotMsg := j.Result(); gotRes != res || gotMsg != msg {
+			t.Errorf("job %d: Cancel changed a finished job's result", i)
+		}
+	}
+}
+
 // TestInvalidRequests covers the 400 paths.
 func TestInvalidRequests(t *testing.T) {
 	_, base := newTestServer(t, Config{Workers: 1})

@@ -183,8 +183,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type MetricSet struct {
 	FixpointIter Histogram // one frontier extension of any fixpoint driver
 	Image        Histogram // one full (clustered or monolithic) image computation
-	GCPause      Histogram // the exclusive portion of one kernel garbage collection
-	GCMark       Histogram // the concurrent mark phase of one parallel collection
+	GCPause      Histogram // one kernel garbage collection
 	Reorder      Histogram // one dynamic-reordering session, start to close
 }
 
@@ -194,7 +193,6 @@ func NewMetricSet() *MetricSet {
 	ms.FixpointIter.name = "fixpoint_iteration"
 	ms.Image.name = "image"
 	ms.GCPause.name = "gc_pause"
-	ms.GCMark.name = "gc_mark"
 	ms.Reorder.name = "reorder_session"
 	return ms
 }
@@ -211,21 +209,18 @@ func (ms *MetricSet) observeKind(kind string, d time.Duration) {
 		ms.Image.Observe(d)
 	case "bdd.gc":
 		ms.GCPause.Observe(d)
-	case "bdd.gc_mark":
-		ms.GCMark.Observe(d)
 	case "bdd.reorder_end":
 		ms.Reorder.Observe(d)
 	}
 }
 
-// Snapshots returns the snapshots of all five histograms, in a fixed
+// Snapshots returns the snapshots of all four histograms, in a fixed
 // order, including empty ones (callers filter on Count as needed).
 func (ms *MetricSet) Snapshots() []HistogramSnapshot {
 	return []HistogramSnapshot{
 		ms.FixpointIter.Snapshot(),
 		ms.Image.Snapshot(),
 		ms.GCPause.Snapshot(),
-		ms.GCMark.Snapshot(),
 		ms.Reorder.Snapshot(),
 	}
 }

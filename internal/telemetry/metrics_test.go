@@ -140,7 +140,6 @@ func TestMetricSetKindRouting(t *testing.T) {
 	}
 	sc.EmitElapsed("quant.image", time.Millisecond)
 	sc.EmitElapsed("bdd.gc", time.Millisecond)
-	sc.EmitElapsed("bdd.gc_mark", time.Millisecond)
 	sc.EmitElapsed("bdd.reorder_end", time.Millisecond)
 	sc.EmitElapsed("quant.cluster", time.Millisecond) // trace-only kind
 	sc.Emit("reach.iter")                             // untimed: not an observation
@@ -148,11 +147,11 @@ func TestMetricSetKindRouting(t *testing.T) {
 		t.Fatalf("fixpoint iterations = %d, want 6", got)
 	}
 	if ms.Image.Snapshot().Count != 1 || ms.GCPause.Snapshot().Count != 1 ||
-		ms.GCMark.Snapshot().Count != 1 || ms.Reorder.Snapshot().Count != 1 {
+		ms.Reorder.Snapshot().Count != 1 {
 		t.Fatal("image/gc/reorder routing wrong")
 	}
 	snaps := ms.Snapshots()
-	if len(snaps) != 5 || snaps[0].Name != "fixpoint_iteration" {
+	if len(snaps) != 4 || snaps[0].Name != "fixpoint_iteration" {
 		t.Fatalf("bad snapshots: %+v", snaps)
 	}
 }
