@@ -15,8 +15,8 @@ vet:
 build:
 	$(GO) build ./...
 
-# -race also exercises the telemetry layer: the tracer tests arm a
-# process-wide sink and run the sampler goroutine against kernel gauge
+# -race also exercises the telemetry layer: the tracer tests install a
+# scope on a manager and run the sampler goroutine against kernel gauge
 # publications, so a data race between the kernel and the sampler fails
 # here.
 test:
@@ -39,16 +39,22 @@ test-server:
 lint-metrics:
 	$(GO) test -run 'TestMetricsNameLint' -count=1 ./internal/server
 
-# End-to-end traced run: reachability plus a property check on a bundled
-# design with -trace, verifying the shell emits a parseable JSONL trace
-# and a summary without disturbing the verification result.
+# End-to-end traced runs: reachability plus a property check on a
+# bundled design with `hsis -trace`, and one Table-1 row with
+# `table1 -trace`, verifying each CLI emits a JSONL trace and a summary
+# without disturbing the verification result. The reach.iter events
+# prove that a workspace loaded after -trace reports into the CLI's
+# scope.
 trace-smoke:
 	@tmp=$$(mktemp -d); \
 	printf 'read_builtin mdlc2\ncompute_reach\ncheck_all\nquit\n' \
 		| $(GO) run ./cmd/hsis -trace $$tmp/run.jsonl > $$tmp/out.txt \
 		&& grep -q 'telemetry summary' $$tmp/out.txt \
-		&& test -s $$tmp/run.jsonl \
-		&& echo "trace-smoke: ok ($$(wc -l < $$tmp/run.jsonl) events)"; \
+		&& grep -q '"ev":"reach.iter"' $$tmp/run.jsonl \
+		&& $(GO) run ./cmd/table1 -design pingpong -trace $$tmp/t1.jsonl > $$tmp/t1.txt \
+		&& grep -q 'telemetry summary' $$tmp/t1.txt \
+		&& grep -q '"ev":"reach.iter"' $$tmp/t1.jsonl \
+		&& echo "trace-smoke: ok ($$(wc -l < $$tmp/run.jsonl) hsis events, $$(wc -l < $$tmp/t1.jsonl) table1 events)"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # One iteration of the kernel benchmarks (image pipeline plus the

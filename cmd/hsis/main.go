@@ -97,8 +97,7 @@ func main() {
 		"write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
 	sh := &shell{
-		out:   bufio.NewWriter(os.Stdout),
-		stats: *statsFlag,
+		out: bufio.NewWriter(os.Stdout),
 		opts: core.Options{Reorder: *reorderFlag, OrderFile: *orderFlag,
 			ReorderAccel:     *reorderAccelFlag,
 			ReorderMaxGrowth: *reorderMaxGrowthFlag,
@@ -107,11 +106,7 @@ func main() {
 	}
 	defer sh.out.Flush()
 	if *statsFlag {
-		// -stats arms a metrics-only default scope: the kernel and the
-		// fixpoint drivers feed the latency histograms (GC pause,
-		// iteration, image, reorder) that WriteTable renders — the same
-		// pipeline the daemon uses per job.
-		telemetry.SetDefault(telemetry.NewScope(nil).WithMetrics(telemetry.NewMetricSet()))
+		sh.armStats()
 	}
 	if *traceFlag != "" {
 		if err := sh.traceOn(*traceFlag); err != nil {
@@ -121,7 +116,7 @@ func main() {
 	}
 	// A traced session prints its summary on every exit path (quit, EOF).
 	defer func() {
-		if telemetry.Enabled() {
+		if sh.opts.Telemetry.Tracer() != nil {
 			if err := sh.traceOff(); err != nil {
 				fmt.Fprintln(sh.out, "error:", err)
 			}
@@ -181,7 +176,7 @@ func (sh *shell) exec(line string) error {
 		// trace on [file.jsonl] arms the telemetry layer mid-session;
 		// trace off prints the summary and closes the trace file.
 		if len(args) == 0 {
-			if t := telemetry.T(); t != nil {
+			if t := sh.opts.Telemetry.Tracer(); t != nil {
 				fmt.Fprintf(sh.out, "tracing is on (%d events)\n", t.Events())
 			} else {
 				fmt.Fprintln(sh.out, "tracing is off")
@@ -277,7 +272,7 @@ func (sh *shell) exec(line string) error {
 				s.Classes, s.Replicated, len(n.Latches()), s.Sizes)
 		}
 		n.Manager().Stats().WriteTable(sh.out)
-		if t := telemetry.T(); t != nil {
+		if t := sh.opts.Telemetry.Tracer(); t != nil {
 			fmt.Fprintf(sh.out, "  %-22s %d events\n", "telemetry", t.Events())
 		}
 		fmt.Fprintln(sh.out, n.Model().FindNondeterminism())
@@ -433,7 +428,8 @@ func (sh *shell) exec(line string) error {
 			}
 			obs = append(obs, [2]string{pair[:eq], pair[eq+1:]})
 		}
-		res, err := refine.Check(sh.w.Net.Model(), specFlat, obs, network.Options{})
+		res, err := refine.Check(sh.w.Net.Model(), specFlat, obs,
+			network.Options{Telemetry: sh.opts.Telemetry})
 		if err != nil {
 			return err
 		}
@@ -601,52 +597,69 @@ func (sh *shell) maybeStats() {
 	}
 }
 
-// traceOn arms the process-default telemetry scope, writing JSONL
+// armStats turns on -stats: the statistics table after every checking
+// command, fed by a metrics-only scope in which the kernel and the
+// fixpoint drivers fill the latency histograms (GC pause, iteration,
+// image, reorder) that WriteTable renders — the same pipeline the
+// daemon uses per job.
+func (sh *shell) armStats() {
+	sh.stats = true
+	sh.setScope(telemetry.NewScope(nil).WithMetrics(telemetry.NewMetricSet()))
+}
+
+// setScope makes sc the session's telemetry scope (nil disarms):
+// workspaces loaded later receive it through sh.opts, and the loaded
+// workspace's manager switches to it now.
+func (sh *shell) setScope(sc *telemetry.Scope) {
+	sh.opts.Telemetry = sc
+	if sh.w != nil {
+		sh.w.Net.Manager().SetTelemetry(sc)
+	}
+}
+
+// traceOn replaces the session scope with a traced one, writing JSONL
 // events to path and sampling live-node gauges in the background. A
-// MetricSet already armed by -stats carries over, so its histograms
-// keep accumulating across trace on/off.
+// MetricSet armed by -stats carries over, so its histograms keep
+// accumulating across trace on/off.
 func (sh *shell) traceOn(path string) error {
-	if telemetry.Enabled() {
+	old := sh.opts.Telemetry
+	if old.Tracer() != nil {
 		return fmt.Errorf("tracing is already on (trace off first)")
 	}
 	tr, err := telemetry.OpenTrace(path)
 	if err != nil {
 		return err
 	}
-	sc := telemetry.NewScope(tr)
-	if old := telemetry.Default(); old != nil && old.Metrics() != nil {
-		sc.WithMetrics(old.Metrics())
-	}
+	sc := telemetry.NewScope(tr).WithMetrics(old.Metrics())
 	sc.StartSampler(0)
-	telemetry.SetDefault(sc)
+	sh.setScope(sc)
 	fmt.Fprintf(sh.out, "tracing to %s\n", path)
 	return nil
 }
 
 // traceOff disarms the tracer, stamps the final BDD statistics into the
 // trace, prints the end-of-run summary and closes the trace file. When
-// -stats armed a MetricSet, a metrics-only scope stays armed so later
-// work keeps feeding the histograms.
+// -stats armed a MetricSet, a metrics-only scope replaces the traced
+// one so later work keeps feeding the histograms.
 func (sh *shell) traceOff() error {
-	sc := telemetry.SetDefault(nil)
-	if sc == nil || sc.Tracer() == nil {
-		if sc != nil {
-			telemetry.SetDefault(sc)
-		}
+	sc := sh.opts.Telemetry
+	tr := sc.Tracer()
+	if tr == nil {
 		return fmt.Errorf("tracing is not on")
 	}
 	sc.StopSampler()
+	var next *telemetry.Scope
 	if ms := sc.Metrics(); ms != nil {
-		telemetry.SetDefault(telemetry.NewScope(nil).WithMetrics(ms))
+		next = telemetry.NewScope(nil).WithMetrics(ms)
 	}
-	tr := sc.Tracer()
+	sh.setScope(next)
 	statsBlock := ""
 	if sh.w != nil {
 		st := sh.w.Net.Manager().Stats()
 		// Final timeline point: small runs may never cross a kernel
 		// publish checkpoint, and the summary's last sample should be
 		// the end-of-session state either way.
-		tr.RecordSample(int64(st.LiveNodes), int64(st.PeakLive))
+		sc.PublishNodes(st.LiveNodes, st.PeakLive)
 		tr.Emit("bdd.stats", st.TelemetryFields()...)
 		statsBlock = st.Table()
 	}

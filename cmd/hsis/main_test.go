@@ -90,6 +90,17 @@ func TestShellTraceCommand(t *testing.T) {
 	}
 }
 
+// TestShellStatsLatency arms the shell the way -stats does and checks
+// the workspace loaded afterwards feeds the -stats histograms.
+func TestShellStatsLatency(t *testing.T) {
+	sh, buf := newTestShell()
+	sh.armStats()
+	out := run(t, sh, buf, "read_builtin pingpong", "compute_reach")
+	if !strings.Contains(out, "fixpoint_iteration latency") {
+		t.Fatalf("compute_reach under -stats printed no iteration latency row:\n%s", out)
+	}
+}
+
 func TestShellFailingPropertyPrintsTrace(t *testing.T) {
 	sh, buf := newTestShell()
 	out := run(t, sh, buf, "read_builtin philos", "lang_contain eat_live")
@@ -215,13 +226,19 @@ module any(clk, g);
 endmodule
 `), 0o644)
 	sh, buf := newTestShell()
-	out := run(t, sh, buf,
-		"read_verilog "+impl+" rr",
-		"check_refine "+spec+" any g=g",
-	)
+	run(t, sh, buf, "read_verilog "+impl+" rr", "trace on "+filepath.Join(dir, "refine.jsonl"))
+	tr := sh.opts.Telemetry.Tracer()
+	before := tr.Events()
+	out := run(t, sh, buf, "check_refine "+spec+" any g=g")
 	if !strings.Contains(out, "REFINES") {
 		t.Fatalf("output:\n%s", out)
 	}
+	// The combined network check_refine builds reports into the shell's
+	// traced scope.
+	if after := tr.Events(); after <= before {
+		t.Errorf("check_refine emitted no trace events (%d -> %d)", before, after)
+	}
+	run(t, sh, buf, "trace off")
 	// reverse direction fails
 	sh2, buf2 := newTestShell()
 	out2 := run(t, sh2, buf2,

@@ -100,18 +100,18 @@ func main() {
 	profileFlag := flag.String("profile", "", "write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
 
+	// -trace builds one scope that every design's workspace reports into.
+	var scope *telemetry.Scope
 	if *traceFlag != "" {
 		tr, err := telemetry.OpenTrace(*traceFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
 		}
-		sc := telemetry.NewScope(tr)
-		sc.StartSampler(0)
-		telemetry.SetDefault(sc)
+		scope = telemetry.NewScope(tr)
+		scope.StartSampler(0)
 		defer func() {
-			telemetry.SetDefault(nil)
-			sc.StopSampler()
+			scope.StopSampler()
 			fmt.Print(tr.Summary(""))
 			if err := tr.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "table1:", err)
@@ -141,6 +141,7 @@ func main() {
 		ReorderMaxGrowth:         *reorderMaxGrowth,
 		ReorderTrigger:           *reorderTrigger,
 		Image:                    *imageFlag,
+		Telemetry:                scope,
 	}
 	switch *heuristic {
 	case "minwidth":

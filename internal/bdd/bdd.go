@@ -211,27 +211,24 @@ type Manager struct {
 	// scope is the manager's observability endpoint: every kernel
 	// instrumentation site (GC, cache growth, reorder sessions, gauge
 	// publication) and every fixpoint driver working on this manager
-	// reports through Telemetry(). Nil falls back to the process
-	// default, which keeps the single-manager CLI behaviour; the daemon
-	// sets one scope per job so concurrent jobs never share a sink.
+	// reports through Telemetry(). Nil is the disarmed state. Whoever
+	// owns the manager installs the scope — the daemon one per job, the
+	// CLIs one per session — so no two managers share a sink unless
+	// their owner chose to.
 	scope atomic.Pointer[telemetry.Scope]
 }
 
 // SetTelemetry installs sc as this manager's observability scope (nil
-// reverts to the process default). Safe to call at any time; sites
-// read the pointer atomically.
+// disarms it). Safe to call at any time; sites read the pointer
+// atomically.
 func (m *Manager) SetTelemetry(sc *telemetry.Scope) {
 	m.scope.Store(sc)
 }
 
-// Telemetry returns the scope instrumentation on this manager should
-// use: the instance scope if set, else the process default, else nil
-// (the disarmed case — two atomic loads and a branch, no allocation).
+// Telemetry returns the manager's own scope, or nil when it is
+// disarmed (one atomic load; no allocation).
 func (m *Manager) Telemetry() *telemetry.Scope {
-	if sc := m.scope.Load(); sc != nil {
-		return sc
-	}
-	return telemetry.Default()
+	return m.scope.Load()
 }
 
 // Cache entries. Empty cache entries are all-zero. A zero operand field

@@ -571,10 +571,6 @@ func TestStatsCounters(t *testing.T) {
 	if s.PeakNodes < s.LiveNodes {
 		t.Fatal("peak below live")
 	}
-	out := s.String()
-	if !strings.Contains(out, "vars") || !strings.Contains(out, "cache hits") {
-		t.Fatalf("stats string: %s", out)
-	}
 }
 
 func TestStatsAfterGC(t *testing.T) {

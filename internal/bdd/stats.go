@@ -87,29 +87,6 @@ func ratio(hits, calls uint64) float64 {
 	return float64(hits) / float64(calls)
 }
 
-// String renders a two-line summary, plus a reordering line when any
-// reorder has run.
-func (s Statistics) String() string {
-	out := fmt.Sprintf(
-		"bdd: %d vars, %d live / %d alloc nodes (peak %d, live-peak %d), %d GCs, %d comp-shared; cache hits: apply %.0f%%, ite %.0f%%, quant %.0f%%, andexists %.0f%%\n"+
-			"bdd: cache entries: apply %d, ite %d, quant %d, andexists %d (%d growths, %d kept across last GC)",
-		s.Variables, s.LiveNodes, s.AllocatedNodes, s.PeakNodes, s.PeakLive, s.GCs, s.ComplementShared,
-		100*ratio(s.ApplyHits, s.ApplyCalls),
-		100*ratio(s.ITEHits, s.ITECalls),
-		100*ratio(s.QuantHits, s.QuantCalls),
-		100*ratio(s.AndExistsHits, s.AndExistsCalls),
-		s.ApplyCacheEntries, s.ITECacheEntries, s.QuantCacheEntries, s.AndExistsCacheEntries,
-		s.CacheGrowths, s.CacheEntriesKept)
-	if s.Reorders > 0 {
-		out += fmt.Sprintf(
-			"\nbdd: reorders: %d (%d swaps in %v; last %d -> %d nodes; %d fast-swaps, %d lb-aborts, %d sym-pairs)",
-			s.Reorders, s.ReorderSwaps, s.ReorderTime.Round(time.Millisecond),
-			s.ReorderNodesBefore, s.ReorderNodesAfter,
-			s.ReorderInterSkips, s.ReorderLBAborts, s.ReorderSymPairs)
-	}
-	return out
-}
-
 // QuantHitRate returns the combined hit rate of the two cube-keyed
 // quantifier caches (Exists/ForAll and AndExists), the number the image
 // pipeline benchmarks report.

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hsis/internal/telemetry"
 )
 
 // buildForest allocates a few dozen nodes and runs every cached
@@ -177,5 +179,35 @@ func TestWriteTableRendering(t *testing.T) {
 	s.Close()
 	if got := m.Stats().Table(); !strings.Contains(got, "reorders") {
 		t.Errorf("reorders row missing after a reorder:\n%s", got)
+	}
+}
+
+// disabledSite is the form every kernel and fixpoint instrumentation
+// site takes.
+func disabledSite(m *Manager, i int) {
+	if sc := m.Telemetry(); sc != nil {
+		sc.Emit("never", telemetry.Int("x", i))
+	}
+}
+
+// TestDisabledManagerSiteAllocs pins the disabled-path contract on a
+// manager with no scope: the site allocates nothing.
+func TestDisabledManagerSiteAllocs(t *testing.T) {
+	m := New()
+	if n := testing.AllocsPerRun(1000, func() { disabledSite(m, 1) }); n != 0 {
+		t.Fatalf("disabled site allocates %v times per run, want 0", n)
+	}
+}
+
+// BenchmarkDisabledManagerSite times the disabled-path contract on a
+// manager with no scope: one atomic load and a branch, 0 allocs/op.
+func BenchmarkDisabledManagerSite(b *testing.B) {
+	m := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		disabledSite(m, i)
+	}
+	if n := testing.AllocsPerRun(100, func() { disabledSite(m, 1) }); n != 0 {
+		b.Fatalf("disabled site allocates %v times per run, want 0", n)
 	}
 }

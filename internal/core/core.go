@@ -83,9 +83,9 @@ type Options struct {
 	// Telemetry, when non-nil, is installed as the observability scope
 	// of every manager the workspace builds (including cone-of-influence
 	// sub-workspaces), so traces, latency histograms and the flight
-	// recorder attach to this workspace instead of the process default.
-	// The daemon sets one scope per job; the CLIs leave it nil and arm
-	// the process default.
+	// recorder attach to this workspace. Nil leaves the workspace
+	// disarmed. The daemon sets one scope per job, the CLIs one per
+	// session.
 	Telemetry *telemetry.Scope
 }
 

@@ -22,6 +22,7 @@ import (
 	"hsis/internal/blifmv"
 	"hsis/internal/mdd"
 	"hsis/internal/network"
+	"hsis/internal/telemetry"
 )
 
 // Result reports one refinement check.
@@ -120,12 +121,21 @@ func Check(impl, spec *blifmv.Model, obs [][2]string, opts network.Options) (*Re
 		append(append([]*mdd.Var(nil), implNS...), specNS...))
 	rel := obsEq
 	iter := 0
+	t := m.Telemetry()
 	for {
 		iter++
+		var sp telemetry.Span
+		if t != nil {
+			sp = t.Start("refine.iter")
+		}
 		primed := m.Permute(rel, toNext)
 		canMatch := m.AndExists(tSpec, primed, specNSCube)
 		step := m.Not(m.AndExists(tImpl, m.Not(canMatch), implNSCube))
 		next := m.And(rel, step)
+		if t != nil {
+			sp.End(telemetry.Int("iter", iter),
+				telemetry.Int("rel_nodes", m.NodeCount(next)))
+		}
 		if next == rel {
 			break
 		}

@@ -49,7 +49,7 @@ func bucketUpperUS(i int) int64 {
 }
 
 // Histogram is a lock-free log-bucketed latency histogram. The zero
-// value is ready to use; name it via Registry.NewHistogram or
+// value is ready to use; name it via Registry.NewHistogramVec or
 // NewMetricSet.
 type Histogram struct {
 	name    string
@@ -159,21 +159,6 @@ func (s HistogramSnapshot) MeanUS() int64 {
 	}
 	return s.SumUS / s.Count
 }
-
-// Gauge is an atomic instantaneous value, for registry exposure of
-// quantities that rise and fall (queue depth, running jobs).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // MetricSet is the per-scope bundle of kernel/fixpoint latency
 // histograms. Scope.emit routes timed events into it by kind, so the

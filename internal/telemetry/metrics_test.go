@@ -183,7 +183,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("hsis_jobs_total", "jobs ever", func() int64 { return 42 })
 	r.GaugeFunc("hsis_queue_depth", "queued now", func() int64 { return 3 })
-	h := r.NewHistogram("hsis_gc_pause_seconds", "gc pauses")
+	h := r.NewHistogramVec("hsis_gc_pause_seconds", "gc pauses", "engine").With("mono")
 	h.ObserveUS(100)
 	h.ObserveUS(5000)
 	vec := r.NewHistogramVec("hsis_queue_wait_seconds", "queue wait", "tenant")
@@ -200,9 +200,9 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE hsis_queue_depth gauge",
 		"hsis_queue_depth 3",
 		"# TYPE hsis_gc_pause_seconds histogram",
-		`hsis_gc_pause_seconds_bucket{le="+Inf"} 2`,
-		"hsis_gc_pause_seconds_count 2",
-		"hsis_gc_pause_seconds_sum 0.0051",
+		`hsis_gc_pause_seconds_bucket{engine="mono",le="+Inf"} 2`,
+		`hsis_gc_pause_seconds_count{engine="mono"} 2`,
+		`hsis_gc_pause_seconds_sum{engine="mono"} 0.0051`,
 		`hsis_queue_wait_seconds_bucket{tenant="acme",le="+Inf"} 1`,
 		`hsis_queue_wait_seconds_count{tenant="acme"} 1`,
 	} {
@@ -210,11 +210,11 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Cumulative buckets: the le series for the scalar histogram must be
+	// Cumulative buckets: the le series of one child must be
 	// non-decreasing.
 	var prev int64 = -1
 	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "hsis_gc_pause_seconds_bucket{le=") {
+		if !strings.HasPrefix(line, `hsis_gc_pause_seconds_bucket{engine="mono",le=`) {
 			continue
 		}
 		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
@@ -225,6 +225,9 @@ func TestWritePrometheus(t *testing.T) {
 			t.Fatalf("buckets not cumulative at %q", line)
 		}
 		prev = v
+	}
+	if prev < 0 {
+		t.Fatal("no le bucket series for the labeled child")
 	}
 }
 

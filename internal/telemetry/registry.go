@@ -19,8 +19,8 @@ import (
 //
 // Counter and gauge families are function-backed (the server already
 // keeps its lifetime counters as atomics; the registry reads them at
-// scrape time rather than duplicating state). Histogram families own
-// their Histogram values; vector families fan out over one label.
+// scrape time rather than duplicating state). Histogram families are
+// vectors over one label and own their child Histogram values.
 type Registry struct {
 	mu    sync.Mutex
 	fams  []*family
@@ -40,12 +40,11 @@ type family struct {
 	name  string
 	help  string
 	kind  string
-	label string       // label key for vector families, "" otherwise
+	label string       // label key of a histogram family
 	fn    func() int64 // counter/gauge value source
 
 	hmu      sync.RWMutex
-	hist     *Histogram            // scalar histogram
-	children map[string]*Histogram // label value → histogram (vector)
+	children map[string]*Histogram // label value → histogram
 }
 
 // NewRegistry builds an empty registry.
@@ -74,15 +73,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 // GaugeFunc registers an instantaneous value read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.register(&family{name: name, help: help, kind: kindGauge, fn: fn})
-}
-
-// NewHistogram registers and returns a scalar histogram family. The
-// name should end in _seconds: observations are stored in microseconds
-// and exposed to Prometheus in seconds.
-func (r *Registry) NewHistogram(name, help string) *Histogram {
-	h := &Histogram{name: name}
-	r.register(&family{name: name, help: help, kind: kindHist, hist: h})
-	return h
 }
 
 // HistogramVec is a histogram family fanned out over one label; child
@@ -135,13 +125,12 @@ func (r *Registry) Names() []string {
 // the JSON metrics surface.
 type LabeledSnapshot struct {
 	HistogramSnapshot
-	Label string // label key ("" for scalar families)
+	Label string // label key
 	Value string // label value
 }
 
 // HistogramSnapshots returns a snapshot of every histogram family,
-// scalar families first-registered first, vector children sorted by
-// label value.
+// families first-registered first, children sorted by label value.
 func (r *Registry) HistogramSnapshots() []LabeledSnapshot {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.fams...)
@@ -149,10 +138,6 @@ func (r *Registry) HistogramSnapshots() []LabeledSnapshot {
 	var out []LabeledSnapshot
 	for _, f := range fams {
 		if f.kind != kindHist {
-			continue
-		}
-		if f.hist != nil {
-			out = append(out, LabeledSnapshot{HistogramSnapshot: f.hist.Snapshot()})
 			continue
 		}
 		f.hmu.RLock()
@@ -200,10 +185,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			b = strconv.AppendInt(b, f.fn(), 10)
 			b = append(b, '\n')
 		case kindHist:
-			if f.hist != nil {
-				b = appendPromHistogram(b, f.name, "", "", f.hist.Snapshot())
-				break
-			}
 			f.hmu.RLock()
 			vals := make([]string, 0, len(f.children))
 			for v := range f.children {
@@ -235,46 +216,35 @@ func appendPromHistogram(b []byte, name, label, value string, s HistogramSnapsho
 	for i := 0; i <= last; i++ {
 		cum += s.Buckets[i]
 		le := float64(bucketUpperUS(i)) / 1e6
-		b = appendPromSeries(b, name, "_bucket", label, value, "le", strconv.FormatFloat(le, 'g', -1, 64))
+		b = appendPromSeries(b, name, "_bucket", label, value, strconv.FormatFloat(le, 'g', -1, 64))
 		b = strconv.AppendInt(b, cum, 10)
 		b = append(b, '\n')
 	}
-	b = appendPromSeries(b, name, "_bucket", label, value, "le", "+Inf")
+	b = appendPromSeries(b, name, "_bucket", label, value, "+Inf")
 	b = strconv.AppendInt(b, s.Count, 10)
 	b = append(b, '\n')
-	b = appendPromSeries(b, name, "_sum", label, value, "", "")
+	b = appendPromSeries(b, name, "_sum", label, value, "")
 	b = strconv.AppendFloat(b, float64(s.SumUS)/1e6, 'g', -1, 64)
 	b = append(b, '\n')
-	b = appendPromSeries(b, name, "_count", label, value, "", "")
+	b = appendPromSeries(b, name, "_count", label, value, "")
 	b = strconv.AppendInt(b, s.Count, 10)
 	b = append(b, '\n')
 	return b
 }
 
-// appendPromSeries writes `name_suffix{label="value",k2="v2"} ` up to
-// and including the separating space.
-func appendPromSeries(b []byte, name, suffix, label, value, k2, v2 string) []byte {
+// appendPromSeries writes `name_suffix{label="value",le="bound"} ` up
+// to and including the separating space; an empty bound omits le.
+func appendPromSeries(b []byte, name, suffix, label, value, le string) []byte {
 	b = append(b, name...)
 	b = append(b, suffix...)
-	if label != "" || k2 != "" {
-		b = append(b, '{')
-		first := true
-		if label != "" {
-			b = append(b, label...)
-			b = append(b, '=')
-			b = strconv.AppendQuote(b, value)
-			first = false
-		}
-		if k2 != "" {
-			if !first {
-				b = append(b, ',')
-			}
-			b = append(b, k2...)
-			b = append(b, '=')
-			b = strconv.AppendQuote(b, v2)
-		}
-		b = append(b, '}')
+	b = append(b, '{')
+	b = append(b, label...)
+	b = append(b, '=')
+	b = strconv.AppendQuote(b, value)
+	if le != "" {
+		b = append(b, `,le=`...)
+		b = strconv.AppendQuote(b, le)
 	}
-	b = append(b, ' ')
+	b = append(b, '}', ' ')
 	return b
 }

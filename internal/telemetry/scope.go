@@ -8,10 +8,11 @@ import (
 
 // Scope is one instance of armed observability: an optional JSONL
 // tracer, an optional flight recorder, an optional metric set, and the
-// live/peak node gauges the kernel publishes into. The daemon builds
-// one Scope per job; the CLIs arm one process-default Scope under
-// -trace/-stats. A nil *Scope is the disarmed state — instrumentation
-// sites check for nil and pay nothing else.
+// live/peak node gauges the kernel publishes into. Whoever owns a
+// manager builds its Scope and installs it there: the daemon one per
+// job, the CLIs one per session under -trace/-stats. A nil *Scope is
+// the disarmed state — instrumentation sites check for nil and pay
+// nothing else.
 //
 // The three sinks are independent: a stats-only run has a MetricSet
 // and no tracer; a daemon job always has a Recorder and MetricSet and
@@ -26,8 +27,9 @@ type Scope struct {
 
 	// Live/peak node gauges, published by the owning manager's
 	// allocator at its adaptation checkpoints and read by the sampler
-	// and by end-of-run reporting. Per-scope, so concurrent jobs'
-	// kernels never mix their curves.
+	// and by end-of-run reporting. The sampler reads only these
+	// atomics, so sampling needs no lock near the kernel hot path.
+	// Per-scope, so concurrent jobs' kernels never mix their curves.
 	gaugeLive atomic.Int64
 	gaugePeak atomic.Int64
 
@@ -126,16 +128,6 @@ func (sc *Scope) PublishNodes(live, peak int) {
 // LiveNodes returns the gauges' current values.
 func (sc *Scope) LiveNodes() (live, peak int64) {
 	return sc.gaugeLive.Load(), sc.gaugePeak.Load()
-}
-
-// RecordSample forces one timeline sample from the current gauges
-// (emitting a bdd.sample event), e.g. at end of run so the timeline's
-// last point is the final state.
-func (sc *Scope) RecordSample() {
-	if sc.tracer == nil {
-		return
-	}
-	sc.tracer.record(sc.gaugeLive.Load(), sc.gaugePeak.Load(), true)
 }
 
 // DefaultSampleInterval is the sampler cadence when StartSampler is

@@ -14,26 +14,24 @@
 //
 //	if sc := m.Telemetry(); sc != nil { ... sc.Emit(...) ... }
 //
-// so any number of managers — one per daemon job — can be traced
-// concurrently without sharing a stream. A process-wide *default*
-// scope exists purely as a CLI convenience (one process, one
-// verification, `-trace`/`-stats` flags): a manager with no instance
-// scope falls back to Default(). The daemon never arms the default
-// scope; it hands each job its own.
+// so any number of managers — one per daemon job, one per CLI session
+// — can be traced concurrently without sharing a stream. There is no
+// process-wide scope: a manager reports only into the scope installed
+// on it (Manager.SetTelemetry, usually via core.Options.Telemetry), and
+// a manager without one is disarmed.
 //
-// The disabled-path contract is unchanged from the original design: a
-// disarmed site pays one or two atomic pointer loads and a predicted
-// branch — no field construction, no time syscalls, no allocation
-// (BenchmarkDisabledSite and BenchmarkDisabledScopeSite verify the
-// cost). The package deliberately imports nothing from this
-// repository, so any layer down to the BDD kernel may emit without an
-// import cycle.
+// The disabled-path contract: a disarmed site pays one atomic pointer
+// load and a predicted branch — no field construction, no time
+// syscalls, no allocation (BenchmarkDisabledScopeSite here and
+// BenchmarkDisabledManagerSite in internal/bdd verify the cost). The
+// package deliberately imports nothing from this repository, so any
+// layer down to the BDD kernel may emit without an import cycle.
 //
 // An armed Tracer appends one JSON object per event to its sink (a
 // JSONL trace file under the CLIs' -trace flag), aggregates per-kind
 // counts and span durations for the end-of-run summary, and keeps a
 // node-growth timeline fed by the kernel's gauge publications and an
-// optional background sampler (see sample.go). Event encoding is
+// optional background sampler (see scope.go). Event encoding is
 // hand-rolled so field order is deterministic: "ev" first, then "t_us",
 // then the caller's fields in call order — a trace with its clock
 // fields stripped is reproducible run to run, which is what the golden
@@ -48,53 +46,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// def is the process-default scope; nil means no default observability
-// is armed. Instance scopes (one per daemon job) never touch it.
-var def atomic.Pointer[Scope]
-
-// Default returns the process-default scope, or nil when none is
-// armed. Managers without an instance scope fall back to it.
-func Default() *Scope { return def.Load() }
-
-// SetDefault installs sc as the process-default scope (nil disarms)
-// and returns the previous default.
-func SetDefault(sc *Scope) *Scope { return def.Swap(sc) }
-
-// T returns the default scope's tracer, or nil when no default tracer
-// is armed. CLI-era instrumentation and tests use this; kernel sites
-// go through Manager.Telemetry instead.
-func T() *Tracer {
-	if sc := def.Load(); sc != nil {
-		return sc.Tracer()
-	}
-	return nil
-}
-
-// Enabled reports whether a default-scope tracer is armed.
-func Enabled() bool { return T() != nil }
-
-// Arm installs t as the process-default tracer (wrapped in a fresh
-// tracer-only scope). Passing nil disarms the default scope.
-func Arm(t *Tracer) {
-	if t == nil {
-		def.Store(nil)
-		return
-	}
-	def.Store(NewScope(t))
-}
-
-// Disarm removes the default scope and returns its tracer (nil if none
-// was armed).
-func Disarm() *Tracer {
-	if sc := def.Swap(nil); sc != nil {
-		return sc.Tracer()
-	}
-	return nil
-}
 
 // fieldKind discriminates the value held by a Field.
 type fieldKind byte

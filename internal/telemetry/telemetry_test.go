@@ -9,42 +9,6 @@ import (
 	"time"
 )
 
-// disarm resets the process-default scope after a test; tests in this
-// package share the default arming point.
-func disarm(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() { SetDefault(nil) })
-}
-
-func TestDisarmedIsNil(t *testing.T) {
-	disarm(t)
-	if Default() != nil {
-		t.Fatal("Default() should be nil before arming")
-	}
-	if T() != nil {
-		t.Fatal("T() should be nil before arming")
-	}
-	if Enabled() {
-		t.Fatal("Enabled() should be false before arming")
-	}
-}
-
-func TestArmDisarm(t *testing.T) {
-	disarm(t)
-	var buf bytes.Buffer
-	tr := New(&buf)
-	Arm(tr)
-	if T() != tr {
-		t.Fatal("T() should return the armed tracer")
-	}
-	if got := Disarm(); got != tr {
-		t.Fatal("Disarm should return the armed tracer")
-	}
-	if T() != nil {
-		t.Fatal("T() should be nil after Disarm")
-	}
-}
-
 // TestEmitJSONL checks every emitted line is a valid JSON object with
 // "ev" first, "t_us" second, and the caller's fields in call order.
 func TestEmitJSONL(t *testing.T) {
@@ -98,13 +62,11 @@ func TestZeroSpanEndIsNoop(t *testing.T) {
 }
 
 func TestPublishNodesAndSampler(t *testing.T) {
-	disarm(t)
 	var buf bytes.Buffer
 	tr := New(&buf)
-	Arm(tr)
-	sc := Default()
-	PublishNodes(123, 456)
-	if live, peak := LiveNodes(); live != 123 || peak != 456 {
+	sc := NewScope(tr)
+	sc.PublishNodes(123, 456)
+	if live, peak := sc.LiveNodes(); live != 123 || peak != 456 {
 		t.Fatalf("gauges = %d/%d, want 123/456", live, peak)
 	}
 	// The publication lands in the timeline without emitting an event.
@@ -227,9 +189,9 @@ func TestSummaryBlocks(t *testing.T) {
 	sp := sc.Start("phase.a")
 	sp.End()
 	tr.Emit("phase.b")
-	tr.RecordSample(10, 20)
-	tr.RecordSample(50, 50)
-	tr.RecordSample(30, 50)
+	sc.PublishNodes(10, 20)
+	sc.PublishNodes(50, 50)
+	sc.PublishNodes(30, 50)
 	sum := tr.Summary("  stats-block-line\n")
 	for _, want := range []string{
 		"telemetry summary", "phase.a", "phase.b",
@@ -246,12 +208,13 @@ func TestSummaryBlocks(t *testing.T) {
 func TestTimelineCompaction(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(&buf)
+	sc := NewScope(tr)
 	for i := 0; i < 100; i++ {
-		live := int64(i)
+		live := i
 		if i == 37 {
 			live = 1000 // the peak, off the even grid
 		}
-		tr.RecordSample(live, 1000)
+		sc.PublishNodes(live, 1000)
 	}
 	tl := tr.Timeline(10)
 	if !strings.Contains(tl, "1000") || !strings.Contains(tl, "<- peak") {
@@ -262,24 +225,10 @@ func TestTimelineCompaction(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledSite measures the disabled-path cost contract: an
-// instrumentation site behind a nil T() check must cost one atomic load
-// and a branch — no allocation, no time syscall.
-func BenchmarkDisabledSite(b *testing.B) {
-	if Enabled() {
-		b.Fatal("telemetry must be disarmed for this benchmark")
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if t := T(); t != nil {
-			t.Emit("never", Int("x", i))
-		}
-	}
-}
-
-// BenchmarkDisabledScopeSite is the same contract for the instance-
-// scoped form every kernel/fixpoint site now uses: a nil-scope check
-// must stay free.
+// BenchmarkDisabledScopeSite measures the disabled-path cost contract:
+// an instrumentation site behind a nil-scope check must cost a branch —
+// no allocation, no time syscall. BenchmarkDisabledManagerSite in
+// internal/bdd times the same site behind Manager.Telemetry.
 func BenchmarkDisabledScopeSite(b *testing.B) {
 	var sc *Scope
 	b.ReportAllocs()

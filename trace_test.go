@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"hsis/internal/bdd"
 	"hsis/internal/core"
 	"hsis/internal/reach"
 	"hsis/internal/telemetry"
@@ -62,19 +63,19 @@ func normalizeTrace(t *testing.T, raw []byte) string {
 	return out.String()
 }
 
-// withTracer arms a buffer-backed tracer around fn and returns the raw
-// JSONL the run produced. The sampler is not started: its ticks are
-// time-driven and would break determinism.
-func withTracer(t *testing.T, fn func()) []byte {
+// withTracer installs a buffer-backed tracer's scope on m around fn and
+// returns the raw JSONL the run produced. The sampler is not started:
+// its ticks are time-driven and would break determinism.
+func withTracer(t *testing.T, m *bdd.Manager, fn func()) []byte {
 	t.Helper()
-	if telemetry.Enabled() {
+	if m.Telemetry() != nil {
 		t.Fatal("telemetry already armed")
 	}
 	var buf bytes.Buffer
 	tr := telemetry.New(&buf)
-	telemetry.Arm(tr)
+	m.SetTelemetry(telemetry.NewScope(tr))
 	defer func() {
-		telemetry.Disarm()
+		m.SetTelemetry(nil)
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func withTracer(t *testing.T, fn func()) []byte {
 // TestGoldenTrace -update .` after an intentional change.
 func TestGoldenTrace(t *testing.T) {
 	w := load2(t, "pingpong", core.Options{})
-	raw := withTracer(t, func() {
+	raw := withTracer(t, w.Net.Manager(), func() {
 		res := reach.Forward(w.Net, reach.Options{})
 		if !res.Converged {
 			t.Fatal("reachability diverged")
@@ -129,13 +130,14 @@ func TestTraceMatchesStats(t *testing.T) {
 	}
 	w := load2(t, "mdlc2", core.Options{})
 	var res *reach.Result
-	raw := withTracer(t, func() {
+	m := w.Net.Manager()
+	raw := withTracer(t, m, func() {
 		res = reach.Forward(w.Net, reach.Options{})
 		if !res.Converged {
 			t.Fatal("reachability diverged")
 		}
-		st := w.Net.Manager().Stats()
-		telemetry.T().Emit("bdd.stats", st.TelemetryFields()...)
+		st := m.Stats()
+		m.Telemetry().Emit("bdd.stats", st.TelemetryFields()...)
 	})
 	iters := 0
 	maxStep := 0
@@ -177,18 +179,15 @@ func TestTraceMatchesStats(t *testing.T) {
 }
 
 // TestTraceDisabledByDefault guards the no-op contract at the package
-// boundary: with no tracer armed, a full verification run must emit
-// nothing and leave the gauges untouched by the run itself.
+// boundary: a workspace loaded with zero Options has no scope, and a
+// full verification run must not arm one by itself.
 func TestTraceDisabledByDefault(t *testing.T) {
-	if telemetry.Enabled() {
-		t.Fatal("telemetry armed at test start")
-	}
 	w := load2(t, "pingpong", core.Options{})
 	res := reach.Forward(w.Net, reach.Options{})
 	if !res.Converged {
 		t.Fatal("reachability diverged")
 	}
-	if telemetry.Enabled() {
-		t.Fatal("verification run armed telemetry by itself")
+	if sc := w.Net.Manager().Telemetry(); sc != nil {
+		t.Fatalf("workspace loaded with zero Options has scope %p", sc)
 	}
 }
