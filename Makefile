@@ -44,7 +44,9 @@ lint-metrics:
 # `table1 -trace`, verifying each CLI emits a JSONL trace and a summary
 # without disturbing the verification result. The reach.iter events
 # prove that a workspace loaded after -trace reports into the CLI's
-# scope.
+# scope. A last leg steps the simulator under `hsis -image clustered`,
+# where the monolithic T is never built, so a simulator image that
+# reads T directly shows up as an empty step.
 trace-smoke:
 	@tmp=$$(mktemp -d); \
 	printf 'read_builtin mdlc2\ncompute_reach\ncheck_all\nquit\n' \
@@ -54,6 +56,9 @@ trace-smoke:
 		&& $(GO) run ./cmd/table1 -design pingpong -trace $$tmp/t1.jsonl > $$tmp/t1.txt \
 		&& grep -q 'telemetry summary' $$tmp/t1.txt \
 		&& grep -q '"ev":"reach.iter"' $$tmp/t1.jsonl \
+		&& printf 'read_builtin pingpong\nsim_init\nsim_step\nquit\n' \
+			| $(GO) run ./cmd/hsis -image clustered > $$tmp/sim.txt \
+		&& grep -q 'after step 1: 1 states' $$tmp/sim.txt \
 		&& echo "trace-smoke: ok ($$(wc -l < $$tmp/run.jsonl) hsis events, $$(wc -l < $$tmp/t1.jsonl) table1 events)"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 

@@ -305,7 +305,7 @@ func BenchmarkPartitionedTR(b *testing.B) {
 		n := build(true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := reach.Forward(n, reach.Options{Partitioned: true})
+			res := reach.Forward(n, reach.Options{Engine: reach.EnginePartitioned})
 			if !res.Converged {
 				b.Fatal("diverged")
 			}

@@ -266,7 +266,11 @@ func (sh *shell) exec(line string) error {
 		n := sh.w.Net
 		fmt.Fprintf(sh.out, "design %s: %d latches, %d state bits, %d tables, %d BDD nodes in manager\n",
 			sh.w.Name, len(n.Latches()), len(n.PSBits()), len(n.Conjuncts()), n.Manager().Size())
-		fmt.Fprintf(sh.out, "transition relation: %d BDD nodes\n", n.Manager().NodeCount(n.T))
+		if n.TBuilt() {
+			fmt.Fprintf(sh.out, "transition relation: %d BDD nodes\n", n.Manager().NodeCount(n.T))
+		} else {
+			fmt.Fprintln(sh.out, "transition relation: not built")
+		}
 		if s := n.IsoSummaryInfo(); s.Classes > 0 {
 			fmt.Fprintf(sh.out, "isomorphic cones: %d classes covering %d/%d latches, sizes %v\n",
 				s.Classes, s.Replicated, len(n.Latches()), s.Sizes)
@@ -505,7 +509,10 @@ func (sh *shell) exec(line string) error {
 				names[b] = fmt.Sprintf("%s[%d]", v.Name(), i)
 			}
 		}
-		roots := map[string]bdd.Ref{"T": n.T, "Init": n.Init}
+		roots := map[string]bdd.Ref{"Init": n.Init}
+		if n.TBuilt() {
+			roots["T"] = n.T
+		}
 		if err := n.Manager().WriteDot(f, names, roots); err != nil {
 			return err
 		}

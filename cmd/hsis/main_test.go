@@ -126,6 +126,28 @@ func TestShellSimulatorFlow(t *testing.T) {
 	}
 }
 
+func TestShellUnbuiltTransitionRelation(t *testing.T) {
+	// A non-monolithic image engine leaves T unbuilt: the simulator
+	// steps through the image engine, and print_stats and write_dot
+	// report the design without building T as a side effect.
+	sh, buf := newTestShell()
+	sh.opts.Image = "clustered"
+	out := run(t, sh, buf,
+		"read_builtin pingpong",
+		"sim_init", "sim_step",
+		"print_stats",
+		"write_dot "+filepath.Join(t.TempDir(), "out.dot"),
+	)
+	for _, want := range []string{"after step 1: 1 states", "transition relation: not built"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in output:\n%s", want, out)
+		}
+	}
+	if sh.w.Net.TBuilt() {
+		t.Fatal("T was built")
+	}
+}
+
 func TestShellErrors(t *testing.T) {
 	sh, _ := newTestShell()
 	for _, line := range []string{

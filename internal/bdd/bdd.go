@@ -142,11 +142,10 @@ type Manager struct {
 	quantMask uint64
 	aexMask   uint64
 
-	cacheBudget int                    // total entry budget across all op caches
-	cacheWin    [numCaches]cacheWindow // adaptive-growth bookkeeping
-	allocs      uint64                 // node allocations
-	allocsAtGC  uint64                 // allocs at the last collection (demand estimate)
-	sinceAdapt  uint64                 // allocations since the last adaptation checkpoint
+	cacheWin   [numCaches]cacheWindow // adaptive-growth bookkeeping
+	allocs     uint64                 // node allocations
+	allocsAtGC uint64                 // allocs at the last collection (demand estimate)
+	sinceAdapt uint64                 // allocations since the last adaptation checkpoint
 
 	marks []uint64 // reusable mark bitmap, one bit per node slot
 
@@ -174,7 +173,6 @@ type Manager struct {
 	// drivers' CheckInterrupt calls at their safe points.
 	interrupted atomic.Bool
 
-	gcEnabled bool
 	autoGCAt  int // node count that triggers an automatic GC on allocation
 	GCCount   int // number of garbage collections performed
 	lastLive  int
@@ -270,21 +268,19 @@ const defaultTableSize = 1 << 14
 // NewVar or NewVars.
 func New() *Manager {
 	m := &Manager{
-		chunks:      []*chunk{new(chunk)},
-		nodeCap:     1,
-		table:       make([]int32, defaultTableSize),
-		tableMask:   defaultTableSize - 1,
-		ite:         make([]iteEntry, initITECache),
-		binop:       make([]binopEntry, initBinopCache),
-		quant:       make([]quantEntry, initQuantCache),
-		aex:         make([]aexEntry, initAexCache),
-		iteMask:     initITECache - 1,
-		binopMask:   initBinopCache - 1,
-		quantMask:   initQuantCache - 1,
-		aexMask:     initAexCache - 1,
-		cacheBudget: defaultCacheBudget,
-		gcEnabled:   true,
-		autoGCAt:    1 << 19,
+		chunks:    []*chunk{new(chunk)},
+		nodeCap:   1,
+		table:     make([]int32, defaultTableSize),
+		tableMask: defaultTableSize - 1,
+		ite:       make([]iteEntry, initITECache),
+		binop:     make([]binopEntry, initBinopCache),
+		quant:     make([]quantEntry, initQuantCache),
+		aex:       make([]aexEntry, initAexCache),
+		iteMask:   initITECache - 1,
+		binopMask: initBinopCache - 1,
+		quantMask: initQuantCache - 1,
+		aexMask:   initAexCache - 1,
+		autoGCAt:  1 << 19,
 	}
 	// Install the single terminal at index 0.
 	m.node(0).varID = terminalLevel

@@ -34,9 +34,9 @@ const (
 	minCacheSize = 1 << 12
 )
 
-// defaultCacheBudget caps the total entries across the four op caches
-// (~32 MiB at 16 bytes/entry). SetCacheBudget overrides it.
-const defaultCacheBudget = 1 << 21
+// cacheBudget caps the total entries the adaptive growth policy may
+// reach across the four op caches (~32 MiB at 16 bytes/entry).
+const cacheBudget = 1 << 21
 
 const (
 	cacheWindowMin   = 1 << 14 // probes before a window yields a verdict
@@ -79,10 +79,6 @@ type cacheWindow struct {
 	calls, hits uint64
 	lowStreak   int
 }
-
-// SetCacheBudget bounds the total number of operation-cache entries the
-// adaptive growth policy may reach, across all four caches.
-func (m *Manager) SetCacheBudget(entries int) { m.cacheBudget = entries }
 
 // adaptCaches runs one adaptation check per cache. It is O(1) unless a
 // cache actually grows, so callers (MaybeGC, GC) can invoke it freely.
@@ -165,7 +161,7 @@ func (m *Manager) totalCacheEntries() int {
 func (m *Manager) growCache(id cacheID) {
 	switch id {
 	case cacheITE:
-		if m.totalCacheEntries()+len(m.ite) > m.cacheBudget {
+		if m.totalCacheEntries()+len(m.ite) > cacheBudget {
 			return
 		}
 		old := m.ite
@@ -178,7 +174,7 @@ func (m *Manager) growCache(id cacheID) {
 			m.ite[hash3(uint64(e.f), uint64(e.g), uint64(e.h))&m.iteMask] = e
 		}
 	case cacheBinop:
-		if m.totalCacheEntries()+len(m.binop) > m.cacheBudget {
+		if m.totalCacheEntries()+len(m.binop) > cacheBudget {
 			return
 		}
 		old := m.binop
@@ -191,7 +187,7 @@ func (m *Manager) growCache(id cacheID) {
 			m.binop[hash3(uint64(e.op), uint64(e.f), uint64(e.g))&m.binopMask] = e
 		}
 	case cacheQuant:
-		if m.totalCacheEntries()+len(m.quant) > m.cacheBudget {
+		if m.totalCacheEntries()+len(m.quant) > cacheBudget {
 			return
 		}
 		old := m.quant
@@ -204,7 +200,7 @@ func (m *Manager) growCache(id cacheID) {
 			m.quant[hash3(uint64(e.f), uint64(e.cube), 0x5eed)&m.quantMask] = e
 		}
 	case cacheAex:
-		if m.totalCacheEntries()+len(m.aex) > m.cacheBudget {
+		if m.totalCacheEntries()+len(m.aex) > cacheBudget {
 			return
 		}
 		old := m.aex

@@ -144,7 +144,7 @@ func (m *Manager) MaybeGC() bool {
 	// MaybeGC call sites already satisfy the protection contract a
 	// reorder needs, so a pending automatic reorder drains here too.
 	m.MaybeReorder()
-	if !m.gcEnabled || m.Size() < m.autoGCAt {
+	if m.Size() < m.autoGCAt {
 		m.adaptCaches()
 		return false
 	}
@@ -163,11 +163,8 @@ func (m *Manager) MaybeGC() bool {
 // to gate the IncRef traffic that protects their loop state across a
 // safe point, the same way ReorderPending gates reorder protection.
 func (m *Manager) GCPending() bool {
-	return m.gcEnabled && m.Size() >= m.autoGCAt
+	return m.Size() >= m.autoGCAt
 }
 
 // SetGCThreshold sets the node count at which MaybeGC collects.
 func (m *Manager) SetGCThreshold(n int) { m.autoGCAt = n }
-
-// DisableGC turns MaybeGC into a no-op (explicit GC still works).
-func (m *Manager) DisableGC() { m.gcEnabled = false }

@@ -4,18 +4,17 @@ package bdd
 // hull iteration) owned by one Manager can be cancelled from another
 // goroutine — a job deadline, a client disconnect, a daemon shutdown —
 // by calling Interrupt. The kernel itself never polls the flag: the
-// fixpoint drivers (reach, sys, emptiness, ctl) call CheckInterrupt at
-// their existing reorder/GC safe points, where no unprotected
-// intermediate Refs are at risk, and CheckInterrupt unwinds by
-// panicking with ErrInterrupted.
+// fixpoint loops (reach, sys, emptiness, ctl, lc) and the debug
+// layer's search loops call CheckInterrupt at the top of each iteration,
+// and CheckInterrupt unwinds by panicking with ErrInterrupted.
 //
 // The panic is the propagation mechanism, not an error: verdict-carrying
 // error returns would have to thread through every fixpoint layer, while
 // an interrupted manager is abandoned wholesale (each job owns its
 // Manager, so leaked refcounts or garbage on the way out are reclaimed
 // with the manager itself). Callers that interrupt must therefore wrap
-// the top of the computation with recover and match ErrInterrupted —
-// see RecoverInterrupt.
+// the top of the computation with recover and match ErrInterrupted (the
+// hsisd job runner, server.runVerification, does).
 //
 // The check is one atomic load; an uninterrupted run pays nothing
 // measurable.
@@ -26,8 +25,7 @@ type interruptError struct{}
 func (interruptError) Error() string { return "bdd: operation interrupted" }
 
 // ErrInterrupted is the value CheckInterrupt panics with after
-// Interrupt. Compare with == in a recover handler (RecoverInterrupt
-// does this for you).
+// Interrupt. Compare with == in a recover handler.
 var ErrInterrupted error = interruptError{}
 
 // Interrupt requests cancellation of the computation running on this
@@ -35,38 +33,10 @@ var ErrInterrupted error = interruptError{}
 // computation unwinds at its next safe point. Idempotent.
 func (m *Manager) Interrupt() { m.interrupted.Store(true) }
 
-// ResetInterrupt clears a pending interrupt so the manager can be used
-// again. Only meaningful once the interrupted computation has unwound.
-func (m *Manager) ResetInterrupt() { m.interrupted.Store(false) }
-
-// Interrupted reports whether an interrupt has been requested and not
-// yet cleared.
-func (m *Manager) Interrupted() bool { return m.interrupted.Load() }
-
 // CheckInterrupt panics with ErrInterrupted when an interrupt is
 // pending. Fixpoint drivers call it at their safe points.
 func (m *Manager) CheckInterrupt() {
 	if m.interrupted.Load() {
 		panic(ErrInterrupted)
-	}
-}
-
-// RecoverInterrupt converts an ErrInterrupted panic into a normal
-// return, for use at the boundary that owns the interrupted manager:
-//
-//	defer bdd.RecoverInterrupt(&err)
-//
-// Any other panic value is re-raised unchanged. When err already holds
-// a value it is left alone (the interrupt lost the race with a real
-// failure).
-func RecoverInterrupt(err *error) {
-	if r := recover(); r != nil {
-		if r == ErrInterrupted {
-			if *err == nil {
-				*err = ErrInterrupted
-			}
-			return
-		}
-		panic(r)
 	}
 }

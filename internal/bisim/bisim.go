@@ -44,6 +44,7 @@ var shadowCounter atomic.Int64
 // every latch's value labels for classical machine equivalence.
 func Compute(n *network.Network, obs []bdd.Ref) *Relation {
 	m := n.Manager()
+	n.EnsureT()
 	id := shadowCounter.Add(1)
 	r := &Relation{N: n}
 	// Shadow rails.

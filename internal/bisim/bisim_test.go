@@ -11,6 +11,11 @@ import (
 
 func compile(t *testing.T, src string) *network.Network {
 	t.Helper()
+	return compileWith(t, src, network.Options{})
+}
+
+func compileWith(t *testing.T, src string, opts network.Options) *network.Network {
+	t.Helper()
 	d, err := blifmv.ParseString(src, "test.mv")
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +24,7 @@ func compile(t *testing.T, src string) *network.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := network.Build(flat, network.Options{})
+	n, err := network.Build(flat, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +86,30 @@ func TestTwinsCollapse(t *testing.T) {
 	// classes within the valid domain: {0}, {1,2}, {3}
 	if got := r.NumClasses(sv.Domain()); got != 3 {
 		t.Fatalf("classes = %d, want 3", got)
+	}
+}
+
+func TestComputeOnUnbuiltT(t *testing.T) {
+	// A SkipMonolithic network has no T until something builds it;
+	// Compute must derive the same relation as on an eager network.
+	eager := compile(t, twins)
+	lazy := compileWith(t, twins, network.Options{SkipMonolithic: true})
+	re := Compute(eager, []bdd.Ref{obsLabel(t, eager)})
+	rl := Compute(lazy, []bdd.Ref{obsLabel(t, lazy)})
+	se, sl := eager.VarByName("s"), lazy.VarByName("s")
+	if got, want := rl.NumClasses(sl.Domain()), re.NumClasses(se.Domain()); got != want {
+		t.Fatalf("lazy network: %d classes, eager: %d", got, want)
+	}
+	for a := 0; a < 4; a++ {
+		for b := a + 1; b < 4; b++ {
+			ea, _ := eager.PickState(se.Eq(a))
+			eb, _ := eager.PickState(se.Eq(b))
+			la, _ := lazy.PickState(sl.Eq(a))
+			lb, _ := lazy.PickState(sl.Eq(b))
+			if re.Equivalent(ea, eb) != rl.Equivalent(la, lb) {
+				t.Fatalf("states %d and %d: eager and lazy relations disagree", a, b)
+			}
+		}
 	}
 }
 

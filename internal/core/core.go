@@ -358,7 +358,7 @@ func (w *Workspace) ReachableStatesExact() *big.Int {
 // derived from it): the running fixpoint unwinds with
 // bdd.ErrInterrupted at its next safe point. Safe to call from any
 // goroutine; the caller that owns the computation recovers the panic
-// (see bdd.RecoverInterrupt).
+// and matches bdd.ErrInterrupted.
 func (w *Workspace) Interrupt() {
 	w.Net.Manager().Interrupt()
 	w.coneMu.Lock()
@@ -446,7 +446,6 @@ func (w *Workspace) CheckLC(spec *pif.AutSpec) *PropertyResult {
 		}
 	}
 	out := &PropertyResult{Name: spec.Name, Kind: KindLC}
-	w.Net.EnsureT()
 	a, err := lc.Compile(w.Net, spec)
 	if err != nil {
 		out.Err = err

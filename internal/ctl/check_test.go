@@ -135,24 +135,27 @@ func TestCheckVerdicts(t *testing.T) {
 func TestInvariancePath(t *testing.T) {
 	n := compile(t, gated5)
 	c := NewForNetwork(n, nil)
-	// state 4 unreachable: invariant passes through the fast path
-	v, err := c.Check(MustParse("AG s!=4"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Pass || !v.UsedInvariantPath {
-		t.Fatalf("want pass via invariant path, got %+v", v)
-	}
-	// violated at depth 2
-	v, err = c.Check(MustParse("AG s!=2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Pass || !v.UsedInvariantPath {
-		t.Fatalf("want fail via invariant path, got %+v", v)
-	}
-	if v.FailStep != 2 {
-		t.Fatalf("FailStep = %d, want 2 (early failure depth)", v.FailStep)
+	// FailStep is the early-failure depth: the reachability step at which
+	// a bad state first appears, -1 when none is reachable.
+	for _, tc := range []struct {
+		prop     string
+		pass     bool
+		failStep int
+	}{
+		{"AG s!=4", true, -1}, // state 4 unreachable
+		{"AG s!=2", false, 2}, // violated at depth 2
+		{"AG s!=0", false, 0}, // the initial state is bad
+	} {
+		v, err := c.Check(MustParse(tc.prop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Pass != tc.pass || !v.UsedInvariantPath {
+			t.Fatalf("%s: want pass=%v via invariant path, got %+v", tc.prop, tc.pass, v)
+		}
+		if v.FailStep != tc.failStep {
+			t.Fatalf("%s: FailStep = %d, want %d", tc.prop, v.FailStep, tc.failStep)
+		}
 	}
 }
 

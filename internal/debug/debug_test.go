@@ -159,9 +159,10 @@ func TestErrorTraceStreett(t *testing.T) {
 	}
 }
 
-func TestLCProductTrace(t *testing.T) {
-	// Full pipeline: failing language containment produces a verified
-	// error trace over the product.
+// failingLCProduct builds a product whose language containment check
+// fails: the design grants both requests in its initial state.
+func failingLCProduct(t *testing.T) (*lc.Product, *lc.Result) {
+	t.Helper()
 	const mutexBad = `
 .model mutexBad
 .table t g1
@@ -201,6 +202,13 @@ automaton never_both {
 	if res.Pass {
 		t.Fatal("expected failure")
 	}
+	return p, res
+}
+
+func TestLCProductTrace(t *testing.T) {
+	// Full pipeline: failing language containment produces a verified
+	// error trace over the product.
+	p, res := failingLCProduct(t)
 	tr, err := FindErrorTrace(p, res.Constraints, res.FairHull)
 	if err != nil {
 		t.Fatal(err)
@@ -218,6 +226,21 @@ automaton never_both {
 	}
 	if !sawB {
 		t.Fatal("trace never enters the rejecting automaton state")
+	}
+}
+
+func TestFindErrorTraceInterrupted(t *testing.T) {
+	// A cancelled job unwinds out of trace extraction at the next safe
+	// point instead of finishing the search.
+	p, res := failingLCProduct(t)
+	p.Manager().Interrupt()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		FindErrorTrace(p, res.Constraints, res.FairHull)
+		return nil
+	}()
+	if got != bdd.ErrInterrupted {
+		t.Fatalf("FindErrorTrace on an interrupted manager: recovered %v, want bdd.ErrInterrupted", got)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"hsis/internal/mdd"
 	"hsis/internal/network"
 	"hsis/internal/pif"
-	"hsis/internal/quant"
-	"hsis/internal/reach"
 )
 
 // Product is the synchronous product of a design with a property
@@ -24,17 +22,11 @@ type Product struct {
 	A *Automaton
 
 	APS, ANS *mdd.Var // automaton present/next state variables
-	Delta    bdd.Ref  // automaton transition relation δ(x, a, a')
-	T        bdd.Ref  // product transition relation
+	T        bdd.Ref  // product transition relation: design T ∧ δ(x, a, a')
 	init     bdd.Ref
 
 	psBits, nsBits []int
 	perm           []int
-
-	// Precompiled clustered image pipeline over the design's clusters
-	// plus δ; selected by SetEngine(reach.EngineClustered).
-	imgPlan, prePlan *quant.CompiledPlan
-	engine           reach.EngineKind
 }
 
 // productCounter disambiguates product state-variable names. Atomic:
@@ -43,9 +35,12 @@ type Product struct {
 var productCounter atomic.Int64
 
 // NewProduct builds the product system. It extends the design's BDD
-// manager with two fresh automaton state variables.
+// manager with two fresh automaton state variables and builds the
+// design's monolithic T if it is not built yet: the product relation
+// conjoins it with δ.
 func NewProduct(n *network.Network, a *Automaton) *Product {
 	m := n.Manager()
+	n.EnsureT()
 	base := fmt.Sprintf("_aut%d_%s", productCounter.Add(1), a.Name)
 	aps := n.Space().NewVar(base, len(a.States))
 	ans := n.Space().NewVar(base+"$ns", len(a.States))
@@ -59,9 +54,8 @@ func NewProduct(n *network.Network, a *Automaton) *Product {
 	p := &Product{
 		N: n, A: a,
 		APS: aps, ANS: ans,
-		Delta: delta,
-		T:     m.And(n.T, delta),
-		init:  m.And(n.Init, aps.Eq(a.Init)),
+		T:    m.And(n.T, delta),
+		init: m.And(n.Init, aps.Eq(a.Init)),
 	}
 	p.psBits = append(append([]int(nil), n.PSBits()...), aps.Bits()...)
 	p.nsBits = append(append([]int(nil), n.NSBits()...), ans.Bits()...)
@@ -70,49 +64,7 @@ func NewProduct(n *network.Network, a *Automaton) *Product {
 	p.perm = n.Space().Permutation(psv, nsv)
 	m.IncRef(p.T)
 	m.IncRef(p.init)
-	p.compilePlans()
 	return p
-}
-
-// compilePlans freezes the product-level clustered schedules: the
-// design's cluster conjuncts plus δ, quantifying the product rails and
-// every non-rail variable. Compilation is support-only and cheap; the
-// plans are used when SetEngine selects the clustered engine.
-func (p *Product) compilePlans() {
-	m := p.Manager()
-	clusters := p.N.ClusterConjuncts()
-	if len(clusters) == 0 {
-		return
-	}
-	conjs := append(append([]quant.Conjunct(nil), clusters...),
-		quant.Conjunct{F: p.Delta, Support: m.Support(p.Delta)})
-	rail := make(map[int]bool, len(p.psBits)+len(p.nsBits))
-	for _, b := range p.psBits {
-		rail[b] = true
-	}
-	for _, b := range p.nsBits {
-		rail[b] = true
-	}
-	var nonRail []int
-	for b := 0; b < m.NumVars(); b++ {
-		if !rail[b] {
-			nonRail = append(nonRail, b)
-		}
-	}
-	imgQ := append(append([]int(nil), nonRail...), p.psBits...)
-	preQ := append(append([]int(nil), nonRail...), p.nsBits...)
-	p.imgPlan = quant.Compile(m, conjs, p.psBits, imgQ)
-	p.prePlan = quant.Compile(m, conjs, p.nsBits, preQ)
-	p.imgPlan.Retain(m)
-	p.prePlan.Retain(m)
-}
-
-// SetEngine selects the Post/Pre strategy for the product fixpoints:
-// reach.EngineClustered replays the precompiled plans, anything else
-// uses the monolithic product relation (the default — the product T is
-// always built, since the edge-restricted emptiness operators need it).
-func (p *Product) SetEngine(kind reach.EngineKind) {
-	p.engine = kind
 }
 
 // Manager returns the shared BDD manager.
@@ -130,9 +82,6 @@ func (p *Product) SwapRails(f bdd.Ref) bdd.Ref { return p.Manager().Permute(f, p
 // Post returns the successors of s in the product.
 func (p *Product) Post(s bdd.Ref) bdd.Ref {
 	m := p.Manager()
-	if p.engine == reach.EngineClustered && p.imgPlan != nil {
-		return p.SwapRails(p.imgPlan.Run(m, s))
-	}
 	next := m.AndExists(p.T, s, m.Cube(p.psBits))
 	return p.SwapRails(next)
 }
@@ -140,9 +89,6 @@ func (p *Product) Post(s bdd.Ref) bdd.Ref {
 // Pre returns the predecessors of s in the product.
 func (p *Product) Pre(s bdd.Ref) bdd.Ref {
 	m := p.Manager()
-	if p.engine == reach.EngineClustered && p.prePlan != nil {
-		return p.prePlan.Run(m, p.SwapRails(s))
-	}
 	return m.AndExists(p.T, p.SwapRails(s), m.Cube(p.nsBits))
 }
 

@@ -499,7 +499,7 @@ func (n *Network) ensureIsoPlans() *isoState {
 		for _, cj := range cls.conjs[0] {
 			repConjs = append(repConjs, n.conjuncts[cj])
 		}
-		repClusters := quant.Clusters(m, repConjs, cls.local, n.clusterLimit)
+		repClusters := quant.Clusters(m, repConjs, cls.local, quant.DefaultClusterLimit)
 		all = append(all, repClusters...)
 		for k := 1; k < len(cls.Latches); k++ {
 			p := m.NewPermuter(cls.sigmas[k])
@@ -522,7 +522,7 @@ func (n *Network) ensureIsoPlans() *isoState {
 		for _, cj := range st.shared {
 			sharedConjs = append(sharedConjs, n.conjuncts[cj])
 		}
-		all = append(all, quant.Clusters(m, sharedConjs, st.sharedLocal, n.clusterLimit)...)
+		all = append(all, quant.Clusters(m, sharedConjs, st.sharedLocal, quant.DefaultClusterLimit)...)
 	}
 	for _, c := range all {
 		m.IncRef(c.F)

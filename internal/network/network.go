@@ -41,9 +41,6 @@ type Options struct {
 	// NaiveQuantification disables early quantification and builds the
 	// full conjunction before quantifying (Ablation A baseline).
 	NaiveQuantification bool
-	// ClusterLimit bounds the BDD size of one merged conjunct cluster in
-	// the precompiled image pipeline (0 = quant.DefaultClusterLimit).
-	ClusterLimit int
 	// ExactOrder places the names in Order verbatim: a latch's next-state
 	// variable is auto-created right after its output only when its name
 	// is absent from Order, and names unknown to the model are skipped.
@@ -103,15 +100,14 @@ type Network struct {
 	// with the manager's reorder epoch; after a sift session changes the
 	// variable order the stale schedule (cluster sizes and step order
 	// were tuned for the old order) is released and re-derived.
-	clusters     []quant.Conjunct
-	imgPlan      *quant.CompiledPlan
-	prePlan      *quant.CompiledPlan
-	plansBuilt   bool
-	planEpoch    int // Manager.ReorderCount() when the plans were compiled
-	clusterLimit int
+	clusters   []quant.Conjunct
+	imgPlan    *quant.CompiledPlan
+	prePlan    *quant.CompiledPlan
+	plansBuilt bool
+	planEpoch  int // Manager.ReorderCount() when the plans were compiled
 
 	// Reusable operand buffers for the per-call partitioned engine, so
-	// ImagePartitioned/PreimagePartitioned allocate nothing per call.
+	// its images and preimages allocate nothing per call.
 	imgConjs, preConjs []quant.Conjunct
 	imgQVars, preQVars []int
 
@@ -310,7 +306,6 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 	// quantification schedule per direction) is compiled lazily by
 	// ensurePlans on first use, so a run that only ever touches the
 	// monolithic or per-call partitioned engines never pays for it.
-	n.clusterLimit = opts.ClusterLimit
 	n.buildPartitionedBuffers()
 
 	// Product transition relation.
@@ -346,7 +341,7 @@ func (n *Network) ensurePlans() {
 			n.mgr.DecRef(c.F)
 		}
 	}
-	n.clusters = quant.Clusters(n.mgr, n.conjuncts, n.nonState, n.clusterLimit)
+	n.clusters = quant.Clusters(n.mgr, n.conjuncts, n.nonState, quant.DefaultClusterLimit)
 	for _, c := range n.clusters {
 		n.mgr.IncRef(c.F)
 	}
@@ -399,15 +394,6 @@ func (n *Network) ImagePlan() *quant.CompiledPlan {
 func (n *Network) PreimagePlan() *quant.CompiledPlan {
 	n.ensurePlans()
 	return n.prePlan
-}
-
-// ClusterConjuncts returns the clustered partitioned transition relation
-// (non-state variables local to one cluster already quantified out),
-// compiling it on demand. Callers must not mutate the slice and must not
-// hold it across a reorder session (it is re-derived then).
-func (n *Network) ClusterConjuncts() []quant.Conjunct {
-	n.ensurePlans()
-	return n.clusters
 }
 
 // TBuilt reports whether the monolithic product transition relation has

@@ -1,17 +1,17 @@
 package reach
 
-// Clustered image computation and the engine abstraction: every
-// fixpoint in the repository (reachability, CTL, language containment)
-// computes images and preimages through an ImageEngine, selecting the
-// monolithic product relation, the per-call-scheduled partitioned
-// relation, or the precompiled clustered pipeline. Clustered is the
-// default whenever the monolithic relation has not been built — it
-// replays a schedule frozen at network.Build time and performs no
-// per-call scheduling work.
+// Clustered image computation and the engine abstraction: every image
+// and preimage over a network (reachability, CTL, simulation) goes
+// through an ImageEngine, selecting the monolithic product relation,
+// the per-call-scheduled partitioned relation, or the precompiled
+// clustered pipeline. Clustered is the default whenever the monolithic
+// relation has not been built — it replays a schedule frozen at
+// network.Build time and performs no per-call scheduling work.
 
 import (
 	"hsis/internal/bdd"
 	"hsis/internal/network"
+	"hsis/internal/quant"
 )
 
 // EngineKind selects an image-computation strategy.
@@ -120,24 +120,44 @@ type monolithicEngine struct{ n *network.Network }
 func (e monolithicEngine) Kind() EngineKind { return EngineMonolithic }
 func (e monolithicEngine) Image(s bdd.Ref) bdd.Ref {
 	e.n.EnsureT()
-	return Image(e.n, s)
+	next := e.n.Manager().AndExists(e.n.T, s, e.n.PSCube())
+	return e.n.SwapRails(next)
 }
 func (e monolithicEngine) Preimage(s bdd.Ref) bdd.Ref {
 	e.n.EnsureT()
-	return Preimage(e.n, s)
+	return e.n.Manager().AndExists(e.n.T, e.n.SwapRails(s), e.n.NSCube())
 }
 
+// partitionedEngine never forms the product transition relation: the
+// state set joins the per-table conjuncts and one early-quantification
+// pass, scheduled per call, eliminates present-state and non-state
+// variables together. The operand slices are buffers owned by the
+// network, so repeated calls allocate nothing.
 type partitionedEngine struct{ n *network.Network }
 
-func (e partitionedEngine) Kind() EngineKind           { return EnginePartitioned }
-func (e partitionedEngine) Image(s bdd.Ref) bdd.Ref    { return ImagePartitioned(e.n, s) }
-func (e partitionedEngine) Preimage(s bdd.Ref) bdd.Ref { return PreimagePartitioned(e.n, s) }
+func (e partitionedEngine) Kind() EngineKind { return EnginePartitioned }
+func (e partitionedEngine) Image(s bdd.Ref) bdd.Ref {
+	conjs, qvars := e.n.ImageOperands(s)
+	next := quant.AndExists(e.n.Manager(), conjs, qvars, e.n.Heuristic())
+	return e.n.SwapRails(next)
+}
+func (e partitionedEngine) Preimage(s bdd.Ref) bdd.Ref {
+	conjs, qvars := e.n.PreimageOperands(e.n.SwapRails(s))
+	return quant.AndExists(e.n.Manager(), conjs, qvars, e.n.Heuristic())
+}
 
+// clusteredEngine replays the network's precompiled clustered plan: one
+// AndExists per cluster, each with a cube frozen at compile time.
 type clusteredEngine struct{ n *network.Network }
 
-func (e clusteredEngine) Kind() EngineKind           { return EngineClustered }
-func (e clusteredEngine) Image(s bdd.Ref) bdd.Ref    { return ImageClustered(e.n, s) }
-func (e clusteredEngine) Preimage(s bdd.Ref) bdd.Ref { return PreimageClustered(e.n, s) }
+func (e clusteredEngine) Kind() EngineKind { return EngineClustered }
+func (e clusteredEngine) Image(s bdd.Ref) bdd.Ref {
+	next := e.n.ImagePlan().Run(e.n.Manager(), s)
+	return e.n.SwapRails(next)
+}
+func (e clusteredEngine) Preimage(s bdd.Ref) bdd.Ref {
+	return e.n.PreimagePlan().Run(e.n.Manager(), e.n.SwapRails(s))
+}
 
 type isoEngine struct{ n *network.Network }
 
@@ -148,17 +168,4 @@ func (e isoEngine) Image(s bdd.Ref) bdd.Ref {
 }
 func (e isoEngine) Preimage(s bdd.Ref) bdd.Ref {
 	return e.n.IsoPreimagePlan().Run(e.n.Manager(), e.n.SwapRails(s))
-}
-
-// ImageClustered computes successors by replaying the network's
-// precompiled clustered plan: one AndExists per cluster, each with a
-// cube frozen at Build time.
-func ImageClustered(n *network.Network, s bdd.Ref) bdd.Ref {
-	next := n.ImagePlan().Run(n.Manager(), s)
-	return n.SwapRails(next)
-}
-
-// PreimageClustered is the clustered counterpart of Preimage.
-func PreimageClustered(n *network.Network, s bdd.Ref) bdd.Ref {
-	return n.PreimagePlan().Run(n.Manager(), n.SwapRails(s))
 }

@@ -8,41 +8,20 @@ package reach
 import (
 	"hsis/internal/bdd"
 	"hsis/internal/network"
-	"hsis/internal/quant"
 	"hsis/internal/telemetry"
 )
 
 // Image computes the successors of the state set s (over the PS rail)
-// using the monolithic product transition relation.
+// with the auto engine: the monolithic relation when T is built, the
+// precompiled pipelines otherwise.
 func Image(n *network.Network, s bdd.Ref) bdd.Ref {
-	m := n.Manager()
-	next := m.AndExists(n.T, s, n.PSCube())
-	return n.SwapRails(next)
+	return Engine(n, EngineAuto).Image(s)
 }
 
 // Preimage computes the predecessors of the state set s (over the PS
-// rail) using the monolithic product transition relation.
+// rail) with the auto engine, like Image.
 func Preimage(n *network.Network, s bdd.Ref) bdd.Ref {
-	m := n.Manager()
-	return m.AndExists(n.T, n.SwapRails(s), n.NSCube())
-}
-
-// ImagePartitioned computes successors without ever forming the product
-// transition relation: the state set joins the per-table conjuncts and
-// one early-quantification pass eliminates present-state and non-state
-// variables together. The operand slices are buffers owned by the
-// network, so repeated calls allocate nothing; the schedule itself is
-// still derived per call (see ImageClustered for the precompiled form).
-func ImagePartitioned(n *network.Network, s bdd.Ref) bdd.Ref {
-	conjs, qvars := n.ImageOperands(s)
-	next := quant.AndExists(n.Manager(), conjs, qvars, n.Heuristic())
-	return n.SwapRails(next)
-}
-
-// PreimagePartitioned is the partitioned counterpart of Preimage.
-func PreimagePartitioned(n *network.Network, s bdd.Ref) bdd.Ref {
-	conjs, qvars := n.PreimageOperands(n.SwapRails(s))
-	return quant.AndExists(n.Manager(), conjs, qvars, n.Heuristic())
+	return Engine(n, EngineAuto).Preimage(s)
 }
 
 // Options controls a reachability run.
@@ -54,9 +33,6 @@ type Options struct {
 	// monolithic when T is built, otherwise iso on sufficiently
 	// replicated designs, clustered if not).
 	Engine EngineKind
-	// Partitioned selects the per-call-scheduled partitioned engine
-	// (legacy knob, equivalent to Engine: EnginePartitioned).
-	Partitioned bool
 	// KeepRings records the frontier of every step for counterexample
 	// reconstruction ("onion rings").
 	KeepRings bool
@@ -90,11 +66,7 @@ func Forward(n *network.Network, opts Options) *Result {
 // ForwardFrom computes the states reachable from the given set.
 func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 	m := n.Manager()
-	kind := opts.Engine
-	if opts.Partitioned && kind == EngineAuto {
-		kind = EnginePartitioned
-	}
-	eng := Engine(n, kind)
+	eng := Engine(n, opts.Engine)
 	img := eng.Image
 	res := &Result{Reached: from}
 	frontier := from
@@ -177,67 +149,4 @@ func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 	}
 	res.Converged = true
 	return res
-}
-
-// Backward computes the states that can reach the given set (a least
-// fixed point of preimages), optionally restricted to a care set: states
-// outside care are never explored. care == bdd.True means no restriction.
-func Backward(n *network.Network, target, care bdd.Ref, kind EngineKind) bdd.Ref {
-	m := n.Manager()
-	pre := Engine(n, kind).Preimage
-	reached := m.And(target, care)
-	frontier := reached
-	t := m.Telemetry()
-	step := 0
-	for frontier != bdd.False {
-		m.CheckInterrupt() // cancellation safe point (see ForwardFrom)
-		var sp telemetry.Span
-		if t != nil {
-			sp = t.Start("reach.back.iter")
-		}
-		// Safe point (see ForwardFrom).
-		if m.ReorderPending() || m.GCPending() {
-			m.IncRef(reached)
-			m.IncRef(frontier)
-			m.IncRef(care)
-			m.MaybeGC()
-			m.DecRef(care)
-			m.DecRef(frontier)
-			m.DecRef(reached)
-		}
-		prev := m.And(pre(frontier), care)
-		frontier = m.Diff(prev, reached)
-		reached = m.Or(reached, frontier)
-		if t != nil {
-			step++
-			sp.End(telemetry.Int("step", step),
-				telemetry.Int("frontier_nodes", m.NodeCount(frontier)),
-				telemetry.Int("reached_nodes", m.NodeCount(reached)))
-		}
-	}
-	return reached
-}
-
-// EarlyFailure runs the bounded-depth property check of paper §5.4: take
-// a few reachability steps and test whether bad states are already
-// reachable. It returns the step at which a bad state first appears, or
-// -1 if none is seen within maxSteps.
-func EarlyFailure(n *network.Network, bad bdd.Ref, maxSteps int) int {
-	m := n.Manager()
-	step := -1
-	count := 0
-	m.IncRef(bad) // the Stop closure reads bad across reorder safe points
-	defer m.DecRef(bad)
-	ForwardFrom(n, n.Init, Options{
-		MaxSteps: maxSteps,
-		Stop: func(reached bdd.Ref) bool {
-			if m.And(reached, bad) != bdd.False {
-				step = count
-				return true
-			}
-			count++
-			return false
-		},
-	})
-	return step
 }

@@ -110,17 +110,18 @@ func TestPartitionedMatchesMonolithic(t *testing.T) {
 	for _, src := range []string{counter4, gated5} {
 		n := compile(t, src, network.Options{})
 		s := n.VarByName("s")
+		mono, part := Engine(n, EngineMonolithic), Engine(n, EnginePartitioned)
 		for v := 0; v < s.Card(); v++ {
-			if Image(n, s.Eq(v)) != ImagePartitioned(n, s.Eq(v)) {
+			if mono.Image(s.Eq(v)) != part.Image(s.Eq(v)) {
 				t.Fatalf("partitioned image differs at state %d", v)
 			}
-			if Preimage(n, s.Eq(v)) != PreimagePartitioned(n, s.Eq(v)) {
+			if mono.Preimage(s.Eq(v)) != part.Preimage(s.Eq(v)) {
 				t.Fatalf("partitioned preimage differs at state %d", v)
 			}
 		}
 		// full reachability with SkipMonolithic
 		np := compile(t, src, network.Options{SkipMonolithic: true})
-		rp := Forward(np, Options{Partitioned: true})
+		rp := Forward(np, Options{Engine: EnginePartitioned})
 		rm := Forward(n, Options{})
 		if np.NumStates(rp.Reached) != n.NumStates(rm.Reached) {
 			t.Fatal("partitioned reachability differs")
@@ -180,41 +181,35 @@ func TestStopCallback(t *testing.T) {
 	}
 }
 
-func TestBackward(t *testing.T) {
-	n := compile(t, gated5, network.Options{})
+// earlyFailure runs bounded forward reachability that stops as soon as a
+// bad state is reached, and returns the step at which it appeared, or -1.
+func earlyFailure(n *network.Network, bad bdd.Ref, maxSteps int) int {
 	m := n.Manager()
-	s := n.VarByName("s")
-	// Everything (including 4) can reach state 0.
-	back := Backward(n, s.Eq(0), bdd.True, EngineMonolithic)
-	if got := m.SatCount(m.And(back, s.Domain()), 3); got != 5 {
-		t.Fatalf("backward reach = %v states, want 5", got)
+	res := Forward(n, Options{
+		MaxSteps: maxSteps,
+		Stop:     func(reached bdd.Ref) bool { return m.And(reached, bad) != bdd.False },
+	})
+	if !res.Stopped {
+		return -1
 	}
-	// With care set excluding state 3, the cycle is cut: 0,4 reach 0
-	// without passing through 3... (0->1->2->3->0 requires 3) so only
-	// {0,4} remain (plus nothing else).
-	care := m.Diff(bdd.True, s.Eq(3))
-	back = Backward(n, s.Eq(0), care, EngineMonolithic)
-	want := m.Or(s.Eq(0), s.Eq(4))
-	if m.And(back, s.Domain()) != want {
-		t.Fatal("care-restricted backward reach wrong")
-	}
+	return res.Steps
 }
 
 func TestEarlyFailure(t *testing.T) {
 	n := compile(t, counter4, network.Options{})
 	s := n.VarByName("s")
 	// state 2 first appears after 2 steps
-	if got := EarlyFailure(n, s.Eq(2), 10); got != 2 {
-		t.Fatalf("EarlyFailure depth = %d, want 2", got)
+	if got := earlyFailure(n, s.Eq(2), 10); got != 2 {
+		t.Fatalf("early failure depth = %d, want 2", got)
 	}
 	// initial state is bad: detected at step 0
-	if got := EarlyFailure(n, s.Eq(0), 10); got != 0 {
-		t.Fatalf("EarlyFailure depth = %d, want 0", got)
+	if got := earlyFailure(n, s.Eq(0), 10); got != 0 {
+		t.Fatalf("early failure depth = %d, want 0", got)
 	}
 	// unreachable bad state: -1
 	n5 := compile(t, gated5, network.Options{})
 	s5 := n5.VarByName("s")
-	if got := EarlyFailure(n5, s5.Eq(4), 50); got != -1 {
-		t.Fatalf("EarlyFailure on unreachable = %d, want -1", got)
+	if got := earlyFailure(n5, s5.Eq(4), 50); got != -1 {
+		t.Fatalf("early failure on unreachable = %d, want -1", got)
 	}
 }

@@ -143,6 +143,7 @@ func (s *Simulator) States(max int) []network.StateAssignment {
 // (useful to catch inconsistent table specifications).
 func (s *Simulator) Deadlocked() bdd.Ref {
 	m := s.N.Manager()
+	s.N.EnsureT()
 	hasSucc := m.Exists(s.N.T, s.N.NSCube())
 	return m.Diff(s.current, hasSucc)
 }

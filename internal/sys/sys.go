@@ -52,11 +52,6 @@ func FromNetwork(n *network.Network) *NetSystem {
 	return &NetSystem{N: n, eng: reach.Engine(n, reach.EngineAuto)}
 }
 
-// FromNetworkEngine wraps a network with an explicit engine choice.
-func FromNetworkEngine(n *network.Network, kind reach.EngineKind) *NetSystem {
-	return &NetSystem{N: n, eng: reach.Engine(n, kind)}
-}
-
 // Manager returns the BDD manager of the underlying network.
 func (s *NetSystem) Manager() *bdd.Manager { return s.N.Manager() }
 

@@ -187,7 +187,7 @@ func NewMetricSet() *MetricSet {
 // property-level spans) stay trace-only.
 func (ms *MetricSet) observeKind(kind string, d time.Duration) {
 	switch kind {
-	case "reach.iter", "reach.back.iter", "sys.reach.iter",
+	case "reach.iter", "sys.reach.iter",
 		"ctl.eu.iter", "emptiness.hull.iter", "lc.bounded.iter":
 		ms.FixpointIter.Observe(d)
 	case "quant.image":
